@@ -3,7 +3,7 @@
 Exit codes form a stable contract: 0 ok, 2 configuration/input error, 3 model
 domain error affecting all points, 4 no valid samples, 5 no coverage.  All
 artifact files are written atomically (temp then rename) and are byte-stable
-for identical inputs, including across --threads settings.
+for identical inputs.  --threads is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -103,10 +103,7 @@ def cmd_curves(args) -> CommandResult:
     curves = {}
     lines = []
     for model_id in models:
-        curve = sweep(
-            model_id, ctx, args.dmin, args.dmax, args.points,
-            spacing=args.spacing, threads=args.threads,
-        )
+        curve = sweep(model_id, ctx, args.dmin, args.dmax, args.points, spacing=args.spacing)
         curves[model_id] = curve
         lines.append(
             f"{model_id}: {len(curve.distances)} points"
@@ -204,8 +201,7 @@ def cmd_analyze(args) -> CommandResult:
     pred_rows = []
     for model_id in models:
         curve = sweep(model_id, ctx, metric_samples.distances.min(),
-                      metric_samples.distances.max(), 200, spacing="log",
-                      threads=args.threads)
+                      metric_samples.distances.max(), 200, spacing="log")
         pred_rows.extend(
             (model_id, repr(d), repr(l)) for d, l in zip(curve.distances, curve.losses)
         )
@@ -304,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help=f"campaign config path or built-in name (default ${CONFIG_ENV_VAR})")
         p.add_argument("--models", help="comma-separated model list, 'default' or 'all'")
-        p.add_argument("--threads", type=int, default=1, help="evaluation threads (output is identical)")
+        p.add_argument("--threads", type=int, default=1, help="ignored (kept for compatibility)")
 
     p_curves = sub.add_parser("curves", help="write model loss curves over a distance grid")
     add_common(p_curves)

@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Array evaluations do not raise per point: they keep one error slot per point,
+None where the point evaluated and the SeaLossError it raises otherwise.
+"""
+
+import numpy as np
 
 
 class SeaLossError(Exception):
@@ -71,3 +77,20 @@ class ConfigError(SeaLossError):
 
 class BullingtonValidityWarning(UserWarning):
     """Antenna height exceeds the scaled validity ceiling outside the 868 MHz band."""
+
+
+def no_errors(n: int) -> np.ndarray:
+    """Error slots for n points, all empty."""
+    return np.full(n, None, dtype=object)
+
+
+def failed(errors: np.ndarray) -> np.ndarray:
+    """Mask of the points whose slot holds an error."""
+    return np.not_equal(errors, None)
+
+
+def raise_first(errors: np.ndarray) -> None:
+    """Raise the first point's error, if any point has one."""
+    for exc in errors:
+        if exc is not None:
+            raise exc

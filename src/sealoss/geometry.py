@@ -9,9 +9,11 @@ the 60 %-first-Fresnel-zone clearance distance d_60.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .errors import NoSpecularPoint, NumericalFailure
+import numpy as np
+
+from .errors import NoSpecularPoint, NumericalFailure, failed, no_errors, raise_first
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 EARTH_RADIUS = 6_371_000.0      # mean earth radius, m
@@ -19,6 +21,28 @@ EARTH_RADIUS = 6_371_000.0      # mean earth radius, m
 # Antenna heights must stay far below the earth radius for the parabolic
 # (tangent-plane) approximations used here; 10 km keeps h/r_e < 2e-3.
 MAX_ANTENNA_HEIGHT = 10_000.0
+
+
+def as_array(x) -> np.ndarray:
+    """x (a number or a sequence of them) as a 1-D float array."""
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def distances(d) -> np.ndarray:
+    """Distances in metres as a 1-D float array; every one must be positive."""
+    d = as_array(d)
+    if not (d > 0).all():
+        raise ValueError("distance must be positive")
+    return d
+
+
+def like(x, values):
+    """values as they are when x is an array, as a Python number when x is a number.
+
+    The scalar API computes through one-point arrays, so a scalar call runs
+    the same numpy loops as an array call and gives the same bits.
+    """
+    return values if np.ndim(x) else np.asarray(values).item()
 
 
 def wavelength(frequency: float) -> float:
@@ -70,7 +94,8 @@ class LinkGeometry:
     """A transmitter/receiver pair over the sea.
 
     h_t and h_r are the antenna heights above the sea surface and d the
-    great-circle distance between the antennas' surface projections.
+    great-circle distance between the antennas' surface projections, or a 1-D
+    array of such distances (one geometry per distance).
     """
 
     h_t: float
@@ -83,7 +108,7 @@ class LinkGeometry:
             raise ValueError("antenna heights must be positive")
         if self.h_t > MAX_ANTENNA_HEIGHT or self.h_r > MAX_ANTENNA_HEIGHT:
             raise ValueError(f"antenna heights above {MAX_ANTENNA_HEIGHT} m are not supported")
-        if not self.d > 0:
+        if not np.all(self.d > 0):
             raise ValueError("distance must be positive")
 
 
@@ -96,6 +121,7 @@ class ReflectionGeometry:
     the plane tangent to the earth at the specular point, and grazing_angle
     the angle between the reflected ray and that tangent plane.  ground_x and
     ground_x_prime are the along-surface distances to the specular point.
+    Every field is a number, or a 1-D array with one entry per distance.
     """
 
     x: float
@@ -108,10 +134,10 @@ class ReflectionGeometry:
     ground_x_prime: float
 
     def __post_init__(self):
-        if not self.grazing_angle > 0:
+        if not np.all(self.grazing_angle > 0):
             raise ValueError("grazing angle must be positive within the horizon")
         # Reflected path can never beat the direct path (Minkowski).
-        if self.x + self.x_prime < self.l:
+        if np.any(self.x + self.x_prime < self.l):
             raise ValueError("reflected path shorter than direct path")
 
 
@@ -160,46 +186,86 @@ def fresnel60_distance(g: LinkGeometry, frequency: float) -> float:
     return 1000.0 * num / den
 
 
-def _cubic_residual(x: float, d: float, r_e: float, h_t: float, h_r: float) -> tuple[float, float, float]:
-    """Specular-point cubic p(x), its derivative, and a magnitude scale at x."""
+def _specular_ground_distance(h_t: float, h_r: float, d: np.ndarray, r_e: float):
+    """Roots of the specular-point cubic in (0, d) by a Newton/bisection hybrid.
+
+    The cubic is p(x) = 2x^3 - 3dx^2 + c1 x + c0.  p(0) = 2 r_e h_t d > 0 and
+    p(d) = -2 r_e h_r d < 0, so (0, d) always brackets the single physical
+    root.  Every point takes Newton steps whenever they stay inside its
+    bracket, bisection otherwise, and stops once its residual is below 1e-10
+    of the largest term's magnitude.  Returns the roots (nan where the solve
+    failed) and the per-point errors.
+    """
     c1 = d * d - 2.0 * r_e * (h_t + h_r)
     c0 = 2.0 * r_e * h_t * d
-    p = 2.0 * x ** 3 - 3.0 * d * x ** 2 + c1 * x + c0
-    dp = 6.0 * x ** 2 - 6.0 * d * x + c1
-    scale = max(abs(2.0 * x ** 3), abs(3.0 * d * x ** 2), abs(c1 * x), abs(c0), 1.0)
-    return p, dp, scale
-
-
-def _specular_ground_distance(h_t: float, h_r: float, d: float, r_e: float) -> float:
-    """Root of the specular-point cubic in (0, d) by a Newton/bisection hybrid.
-
-    p(0) = 2 r_e h_t d > 0 and p(d) = -2 r_e h_r d < 0, so (0, d) always
-    brackets the single physical root.  Newton steps are taken whenever they
-    stay inside the bracket, bisection otherwise; convergence is declared on a
-    relative residual below 1e-10.
-    """
-    lo, hi = 0.0, d
+    floor = np.maximum(np.abs(c0), 1.0)
+    lo, hi = np.zeros(d.shape), d
     x = d * h_t / (h_t + h_r)  # flat-earth image point as the seed
-    for _ in range(200):
-        p, dp, scale = _cubic_residual(x, d, r_e, h_t, h_r)
-        if abs(p) <= 1e-10 * scale:
-            return x
-        if p > 0:
-            lo = x
-        else:
-            hi = x
-        if dp != 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(201):
+            x2 = x * x
+            cubic, quadratic, linear = 2.0 * x2 * x, 3.0 * d * x2, c1 * x
+            p = cubic - quadratic + linear + c0
+            scale = np.maximum(
+                np.maximum(np.abs(cubic), np.abs(quadratic)), np.maximum(np.abs(linear), floor)
+            )
+            done = np.abs(p) <= 1e-10 * scale
+            if step == 200 or done.all():
+                break
+            # A converged point keeps its x (so it stays converged); its
+            # bracket no longer matters.
+            above = p > 0
+            lo = np.where(above, x, lo)
+            hi = np.where(above, hi, x)
+            dp = 6.0 * x2 - 6.0 * d * x + c1
             x_new = x - p / dp
-            if lo < x_new < hi:
-                x = x_new
-                continue
-        x = 0.5 * (lo + hi)
-    p, _, scale = _cubic_residual(x, d, r_e, h_t, h_r)
-    if abs(p) <= 1e-10 * scale:
-        return x
-    raise NumericalFailure(
-        f"specular-point cubic did not converge (residual {p:.3e}, scale {scale:.3e})"
+            newton = (dp != 0.0) & (lo < x_new) & (x_new < hi)
+            x = np.where(done, x, np.where(newton, x_new, 0.5 * (lo + hi)))
+    errors = no_errors(d.size)
+    for i in np.flatnonzero(~done):
+        errors[i] = NumericalFailure(
+            f"specular-point cubic did not converge (residual {p[i]:.3e}, scale {scale[i]:.3e})"
+        )
+    return np.where(done, x, np.nan), errors
+
+
+def specular_points(g: LinkGeometry):
+    """The round-earth specular reflection geometry at every distance of g.
+
+    Array form of reflection_geometry.  Returns the ReflectionGeometry of the
+    points that have one (arrays over those points, in order) and the
+    per-point errors: NoSpecularPoint at or beyond the horizon or where the
+    grazing geometry collapses, NumericalFailure where the cubic solve fails.
+    """
+    d = distances(g.d)
+    errors = no_errors(d.size)
+    d_h = horizon_distance(g)
+    beyond = d >= d_h
+    for i in np.flatnonzero(beyond):
+        errors[i] = NoSpecularPoint(f"d = {d[i]:.1f} m is at or beyond the horizon ({d_h:.1f} m)")
+    r_e = g.earth.effective_radius
+    x_g = np.full(d.shape, np.nan)
+    x_g[~beyond], errors[~beyond] = _specular_ground_distance(g.h_t, g.h_r, d[~beyond], r_e)
+    xp_g = d - x_g
+    h_t_p = g.h_t - x_g * x_g / (2.0 * r_e)
+    h_r_p = g.h_r - xp_g * xp_g / (2.0 * r_e)
+    # Numerically indistinguishable from the horizon.
+    collapsed = ~failed(errors) & ((h_t_p <= 0.0) | (h_r_p <= 0.0))
+    for i in np.flatnonzero(collapsed):
+        errors[i] = NoSpecularPoint(f"grazing geometry collapsed at d = {d[i]:.1f} m")
+    ok = ~failed(errors)
+    d, x_g, xp_g, h_t_p, h_r_p = (a[ok] for a in (d, x_g, xp_g, h_t_p, h_r_p))
+    rg = ReflectionGeometry(
+        x=np.hypot(x_g, h_t_p),
+        x_prime=np.hypot(xp_g, h_r_p),
+        l=np.hypot(d, h_t_p - h_r_p),
+        h_t_prime=h_t_p,
+        h_r_prime=h_r_p,
+        grazing_angle=np.arctan2(h_t_p, x_g),
+        ground_x=x_g,
+        ground_x_prime=xp_g,
     )
+    return rg, errors
 
 
 def reflection_geometry(g: LinkGeometry) -> ReflectionGeometry:
@@ -214,24 +280,8 @@ def reflection_geometry(g: LinkGeometry) -> ReflectionGeometry:
         NoSpecularPoint: if d is at or beyond the horizon distance.
         NumericalFailure: if the cubic solver does not converge.
     """
-    d_h = horizon_distance(g)
-    if g.d >= d_h:
-        raise NoSpecularPoint(f"d = {g.d:.1f} m is at or beyond the horizon ({d_h:.1f} m)")
-    r_e = g.earth.effective_radius
-    x_g = _specular_ground_distance(g.h_t, g.h_r, g.d, r_e)
-    xp_g = g.d - x_g
-    h_t_p = g.h_t - x_g * x_g / (2.0 * r_e)
-    h_r_p = g.h_r - xp_g * xp_g / (2.0 * r_e)
-    if h_t_p <= 0.0 or h_r_p <= 0.0:
-        # Numerically indistinguishable from the horizon.
-        raise NoSpecularPoint(f"grazing geometry collapsed at d = {g.d:.1f} m")
-    return ReflectionGeometry(
-        x=math.hypot(x_g, h_t_p),
-        x_prime=math.hypot(xp_g, h_r_p),
-        l=math.hypot(g.d, h_t_p - h_r_p),
-        h_t_prime=h_t_p,
-        h_r_prime=h_r_p,
-        grazing_angle=math.atan2(h_t_p, x_g),
-        ground_x=x_g,
-        ground_x_prime=xp_g,
-    )
+    rg, errors = specular_points(g)
+    raise_first(errors)
+    if np.ndim(g.d):
+        return rg
+    return replace(rg, **{name: value.item() for name, value in vars(rg).items()})

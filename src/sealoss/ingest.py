@@ -33,7 +33,7 @@ from .errors import (
     MissingCalibration,
     NoValidSamples,
 )
-from .geometry import EarthModel, GeoPoint, great_circle_distance
+from .geometry import MAX_ANTENNA_HEIGHT, EarthModel, GeoPoint, great_circle_distance
 from .metrics import SampleSet
 from .models import ItuParams, ModelContext, RadioConfig
 from .sea import Polarization, SeaState
@@ -170,6 +170,8 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.tx_height > 0 or not self.rx_height > 0:
             raise ValueError("antenna heights must be positive")
+        if self.tx_height > MAX_ANTENNA_HEIGHT or self.rx_height > MAX_ANTENNA_HEIGHT:
+            raise ValueError(f"antenna heights above {MAX_ANTENNA_HEIGHT} m are not supported")
         if not self.log_distance_reference > 0:
             raise ValueError("log-distance reference must be positive")
 
@@ -317,16 +319,18 @@ def _open_text(source):
 
 
 def _parse_timestamp(text: str) -> float:
-    """ISO-8601 (Z or offset) or raw epoch seconds, as UTC seconds."""
+    """ISO-8601 (Z or offset) or raw epoch seconds, as UTC seconds; nan/inf are refused."""
     text = text.strip()
     try:
-        return float(text)
+        seconds = float(text)
     except ValueError:
-        pass
-    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.timestamp()
+    if not math.isfinite(seconds):
+        raise ValueError(f"non-finite timestamp: {text!r}")
+    return seconds
 
 
 def parse_log(source) -> ParsedLog:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFit, LengthMismatch, SeaLossError
-from .models import LogDistanceParams, ModelContext, evaluate_model
+from .errors import DegenerateFit, LengthMismatch, failed
+from .models import LogDistanceParams, ModelContext, losses
 
 
 @dataclass(frozen=True)
@@ -104,34 +104,28 @@ def mae(predicted, measured) -> float:
 def compare_models(samples: SampleSet, model_ids, ctx: ModelContext) -> list:
     """Score each model against the samples and rank by RMSE.
 
-    Each model is evaluated at every sample distance; points where a model
-    raises a domain error are excluded for that model only, with the
-    exclusion count reported.  Ties in RMSE break on the model id, so the
-    ordering is stable under sample permutation.
+    Each model is evaluated at every sample distance in one vectorized pass;
+    points where a model has a domain error are excluded for that model only,
+    with the exclusion count reported.  Ties in RMSE break on the model id, so
+    the ordering is stable under sample permutation.
     """
     if len(samples) == 0 or not model_ids:
         raise ValueError("need samples and at least one model")
+    d, measured = samples.distances, samples.losses
     reports = []
     for model_id in model_ids:
-        predicted, measured = [], []
-        excluded = 0
-        for d, loss in samples.pairs:
-            try:
-                predicted.append(evaluate_model(model_id, ctx, d))
-                measured.append(loss)
-            except ConfigError:
-                raise
-            except SeaLossError:
-                excluded += 1
-        if not predicted:
+        predicted, errors = losses(model_id, ctx, d)
+        ok = ~failed(errors)
+        n_ok = int(ok.sum())
+        if n_ok == 0:
             continue
         reports.append(
             ErrorReport(
                 model_id=model_id,
-                rmse=rmse(predicted, measured),
-                mae=mae(predicted, measured),
-                n_samples=len(predicted),
-                n_excluded=excluded,
+                rmse=rmse(predicted[ok], measured[ok]),
+                mae=mae(predicted[ok], measured[ok]),
+                n_samples=n_ok,
+                n_excluded=len(samples) - n_ok,
             )
         )
     reports.sort(key=lambda r: (r.rmse, r.model_id))
@@ -142,7 +136,7 @@ def bin_samples(samples: SampleSet, n_bins: int) -> SampleSet:
     """Average samples into log-spaced distance bins (mean distance, mean loss)."""
     if n_bins < 1:
         raise ValueError("need at least one bin")
-    d = samples.distances
+    d, y = samples.distances, samples.losses
     edges = np.logspace(math.log10(d.min()), math.log10(d.max()), n_bins + 1)
     edges[-1] *= 1.0 + 1e-12  # keep the max sample inside the last bin
     idx = np.digitize(d, edges) - 1
@@ -150,5 +144,5 @@ def bin_samples(samples: SampleSet, n_bins: int) -> SampleSet:
     for b in range(n_bins):
         mask = idx == b
         if mask.any():
-            pairs.append((float(d[mask].mean()), float(samples.losses[mask].mean())))
+            pairs.append((float(d[mask].mean()), float(y[mask].mean())))
     return SampleSet(pairs=tuple(pairs), source_id=f"{samples.source_id}[binned {n_bins}]")

@@ -5,15 +5,20 @@ reflection coefficient (the REL family), Bullington's plane-earth-plus-shadow
 method, a reduced ITU-R P.2001 evaluation (free space plus spherical-earth
 diffraction under median conditions), and the empirical log-distance model.
 All models return loss in dB as a function of distance.
+
+Every model is written once, over arrays of distances: losses() evaluates a
+model at many distances in one pass, recording per point the SeaLossError
+that evaluate_model would raise there, and the scalar functions call the same
+array code with one-point arrays.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import (
     AntennaTooHigh,
@@ -21,19 +26,25 @@ from .errors import (
     ConfigError,
     FrequencyOutOfRange,
     NoCoverage,
+    NumericalFailure,
     SeaLossError,
     UnboundedRange,
     UnsupportedTimePercentage,
+    failed,
+    no_errors,
+    raise_first,
 )
 from .geometry import (
     EarthModel,
     LinkGeometry,
+    distances,
     fresnel60_distance,
     horizon_distance,
-    reflection_geometry,
+    like,
+    specular_points,
     wavelength,
 )
-from .sea import EffectiveReflection, Polarization, SeaState, effective_reflection
+from .sea import EffectiveReflection, Polarization, SeaState, effective_reflection_at
 
 MODEL_IDS = (
     "free-space",
@@ -130,10 +141,9 @@ class ModelCurve:
     def __post_init__(self):
         if len(self.distances) != len(self.losses):
             raise ValueError("distances and losses must have equal length")
-        for a, b in zip(self.distances, self.distances[1:]):
-            if not b > a:
-                raise ValueError("distances must be strictly increasing")
-        if any(not math.isfinite(v) for v in self.losses):
+        if not (np.diff(self.distances) > 0).all():
+            raise ValueError("distances must be strictly increasing")
+        if not np.isfinite(self.losses).all():
             raise ValueError("losses must be finite")
 
 
@@ -141,8 +151,8 @@ class ModelCurve:
 class ModelContext:
     """Everything the model family needs besides the distance.
 
-    The antenna heights and earth model act as the link template; per-point
-    geometries are produced with geometry_at(d).
+    The antenna heights and earth model act as the link template;
+    geometry_at(d) gives the link geometry at a distance or an array of them.
     """
 
     h_t: float
@@ -154,73 +164,108 @@ class ModelContext:
     itu: ItuParams = field(default_factory=ItuParams)
     log_distance: LogDistanceParams | None = None
 
-    def geometry_at(self, d: float) -> LinkGeometry:
+    def geometry_at(self, d) -> LinkGeometry:
         return LinkGeometry(h_t=self.h_t, h_r=self.h_r, d=d, earth=self.earth)
 
 
-def free_space_loss(d: float, frequency: float) -> float:
+def _checked(d, result):
+    """The losses of an array evaluation; raises the first point's error.
+
+    Returns a number when d is one.
+    """
+    loss, errors = result
+    raise_first(errors)
+    return like(d, loss)
+
+
+def free_space_loss(d, frequency: float):
     """Free-space path loss 20 log10(4 pi d / lambda) in dB."""
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    return 20.0 * math.log10(4.0 * math.pi * d / wavelength(frequency))
+    return like(d, 20.0 * np.log10(4.0 * math.pi * distances(d) / wavelength(frequency)))
 
 
-def _two_ray_db(l: float, r: float, reflection: complex, frequency: float) -> float:
-    """Two-ray loss given direct length l, reflected length r and coefficient R."""
+def _two_ray_db(l, r, reflection, frequency: float, d):
+    """Two-ray losses given direct lengths l, reflected lengths r and coefficients R.
+
+    Returns the losses and per-point errors; d only labels the errors.
+    """
     lam = wavelength(frequency)
     phase = 2.0 * math.pi * (r - l) / lam
-    field_sum = 1.0 / l + reflection * cmath.exp(1j * phase) / r
-    # |1/l + R e^{j phi}/r| >= 1/l - |R|/r > 0 for |R| <= 1 and r > l, so the
-    # log never sees zero for passive reflections.
-    return 20.0 * math.log10(4.0 * math.pi / lam) - 20.0 * math.log10(abs(field_sum))
+    field_sum = 1.0 / l + reflection * np.exp(1j * phase) / r
+    magnitude = np.abs(field_sum)
+    # |1/l + R e^{j phi}/r| >= 1/l - |R|/r > 0 for |R| <= 1 and r > l, but far
+    # out r - l can round to exactly 0, and with R = -1 the two terms cancel.
+    errors = no_errors(magnitude.size)
+    zero = magnitude == 0.0
+    for i in np.flatnonzero(zero):
+        errors[i] = NumericalFailure(f"two-ray field sum cancels to zero at d = {d[i]:.1f} m")
+    with np.errstate(divide="ignore"):
+        loss = 20.0 * math.log10(4.0 * math.pi / lam) - 20.0 * np.log10(magnitude)
+    loss[zero] = np.nan
+    return loss, errors
+
+
+def _two_ray_flat(d, h_t: float, h_r: float, frequency: float, reflection: complex = -1.0):
+    return _two_ray_db(
+        np.hypot(d, h_t - h_r), np.hypot(d, h_t + h_r), complex(reflection), frequency, d
+    )
 
 
 def two_ray_flat(
-    d: float,
+    d,
     h_t: float,
     h_r: float,
     frequency: float,
     reflection: complex = -1.0,
-) -> float:
+):
     """Plane-earth two-ray loss with an arbitrary reflection coefficient.
 
     The direct ray has length sqrt(d^2 + (h_t - h_r)^2), the reflected one
     sqrt(d^2 + (h_t + h_r)^2) via the image point; equal antenna gain is
     assumed toward both rays.  reflection = 0 degenerates to free space over
-    the direct-ray length.
+    the direct-ray length.  Raises NumericalFailure where the field sum
+    cancels to zero.
     """
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    l = math.hypot(d, h_t - h_r)
-    r = math.hypot(d, h_t + h_r)
-    return _two_ray_db(l, r, complex(reflection), frequency)
+    return _checked(d, _two_ray_flat(distances(d), h_t, h_r, frequency, reflection))
 
 
-def two_ray_round_earth(g: LinkGeometry, frequency: float, r_eff: EffectiveReflection) -> float:
+def _two_ray_round(g: LinkGeometry, frequency: float, sea: SeaState, pol: Polarization):
+    """Round-earth two-ray losses with the effective sea reflection, one specular solve per point."""
+    rg, errors = specular_points(g)
+    ok = ~failed(errors)
+    r_eff = effective_reflection_at(rg, g, frequency, sea, pol)
+    loss = np.full(errors.size, np.nan)
+    loss[ok], errors[ok] = _two_ray_db(rg.l, rg.x + rg.x_prime, r_eff.value, frequency, g.d[ok])
+    return loss, errors
+
+
+def two_ray_round_earth(g: LinkGeometry, frequency: float, r_eff: EffectiveReflection):
     """Two-ray loss in the round-earth geometry with an effective reflection.
 
     Ray lengths come from the specular-point solution on the curved sea;
     raises NoSpecularPoint beyond the horizon.
     """
-    rg = reflection_geometry(g)
-    return _two_ray_db(rg.l, rg.x + rg.x_prime, r_eff.value, frequency)
+    d = distances(g.d)
+    rg, errors = specular_points(g)
+    raise_first(errors)
+    return _checked(g.d, _two_ray_db(rg.l, rg.x + rg.x_prime, r_eff.value, frequency, d))
 
 
 def _first_term_diffraction(
-    d_m: float,
+    d_m,
     h_t: float,
     h_r: float,
-    radius_m: float,
+    radius_m,
     frequency: float,
     polarization: Polarization,
     permittivity: float,
     conductivity: float,
-) -> float:
+):
     """First-term residue-series smooth-sphere attenuation, dB over free space.
 
     Normalized-coordinate form (distance term F(X) plus height-gain terms
     G(Y)) with the surface-admittance factor K and ground parameter beta; the
-    inner formulas are bound to GHz / km / m units.
+    inner formulas are bound to GHz / km / m units.  d_m and radius_m may be
+    arrays of the same shape.
     """
     f_ghz = frequency / 1e9
     a_km = radius_m / 1000.0
@@ -231,26 +276,30 @@ def _first_term_diffraction(
         * ((permittivity - 1.0) ** 2 + (18.0 * conductivity / f_ghz) ** 2) ** (-1.0 / 4.0)
     )
     if polarization is not Polarization.HORIZONTAL:
-        k_factor *= math.sqrt(permittivity ** 2 + (18.0 * conductivity / f_ghz) ** 2)
+        k_factor = k_factor * math.sqrt(permittivity ** 2 + (18.0 * conductivity / f_ghz) ** 2)
     k2 = k_factor * k_factor
     beta = (1.0 + 1.6 * k2 + 0.67 * k2 * k2) / (1.0 + 4.5 * k2 + 1.53 * k2 * k2)
 
-    x_norm = 21.88 * beta * (f_ghz / a_km ** 2) ** (1.0 / 3.0) * d_km
-    if x_norm >= 1.6:
-        f_x = 11.0 + 10.0 * math.log10(x_norm) - 17.6 * x_norm
-    else:
-        f_x = -20.0 * math.log10(x_norm) - 5.6488 * x_norm ** 1.425
+    # Both branches are evaluated everywhere; np.where keeps the valid one.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_norm = 21.88 * beta * (f_ghz / a_km ** 2) ** (1.0 / 3.0) * d_km
+        f_x = np.where(
+            x_norm >= 1.6,
+            11.0 + 10.0 * np.log10(x_norm) - 17.6 * x_norm,
+            -20.0 * np.log10(x_norm) - 5.6488 * x_norm ** 1.425,
+        )
 
-    def height_gain(h: float) -> float:
-        y_norm = 0.9575 * beta * (f_ghz ** 2 / a_km) ** (1.0 / 3.0) * h
-        b = beta * y_norm
-        if b > 2.0:
-            g_y = 17.6 * math.sqrt(b - 1.1) - 5.0 * math.log10(b - 1.1) - 8.0
-        else:
-            g_y = 20.0 * math.log10(b + 0.1 * b ** 3)
-        return max(g_y, 2.0 + 20.0 * math.log10(k_factor))
+        def height_gain(h: float):
+            y_norm = 0.9575 * beta * (f_ghz ** 2 / a_km) ** (1.0 / 3.0) * h
+            b = beta * y_norm
+            g_y = np.where(
+                b > 2.0,
+                17.6 * np.sqrt(b - 1.1) - 5.0 * np.log10(b - 1.1) - 8.0,
+                20.0 * np.log10(b + 0.1 * b ** 3),
+            )
+            return np.maximum(g_y, 2.0 + 20.0 * np.log10(k_factor))
 
-    return -f_x - height_gain(h_t) - height_gain(h_r)
+        return -f_x - height_gain(h_t) - height_gain(h_r)
 
 
 def smooth_earth_diffraction_loss(
@@ -259,19 +308,22 @@ def smooth_earth_diffraction_loss(
     polarization: Polarization = Polarization.VERTICAL,
     permittivity: float = SEA_PERMITTIVITY,
     conductivity: float = SEA_CONDUCTIVITY,
-) -> float:
+):
     """Smooth-sea spherical-earth diffraction loss in dB over free space.
 
     First-term residue-series attenuation with the link's effective earth
     radius; floored at 0 dB where the term would predict gain at short range.
     """
-    if g.d <= 0:
-        raise ValueError("distance must be positive")
     loss = _first_term_diffraction(
-        g.d, g.h_t, g.h_r, g.earth.effective_radius, frequency,
+        distances(g.d), g.h_t, g.h_r, g.earth.effective_radius, frequency,
         polarization, permittivity, conductivity,
     )
-    return max(0.0, loss)
+    return like(g.d, np.maximum(0.0, loss))
+
+
+def _beyond_horizon(g: LinkGeometry, frequency: float):
+    """Free space plus the full (vertical-polarized) smooth-sphere diffraction."""
+    return free_space_loss(g.d, frequency) + smooth_earth_diffraction_loss(g, frequency)
 
 
 def _check_bullington_heights(g: LinkGeometry, frequency: float) -> None:
@@ -289,44 +341,70 @@ def _check_bullington_heights(g: LinkGeometry, frequency: float) -> None:
                 f"antenna height {h_max:.1f} m exceeds the scaled Bullington ceiling "
                 f"{ceiling:.1f} m at {frequency / 1e6:.0f} MHz",
                 BullingtonValidityWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
 
-def _log_bridge(d: float, d_60: float, d_h: float, end_value: float) -> float:
+def _log_bridge(d, d_60: float, d_h: float, end_value: float):
     """Diffraction onset bridged linearly in log10(d) from 0 at d_60 to end_value at d_h."""
-    if d <= d_60 or d_60 >= d_h:
-        return 0.0
-    frac = (math.log10(d) - math.log10(d_60)) / (math.log10(d_h) - math.log10(d_60))
-    return end_value * min(frac, 1.0)
+    if d_60 >= d_h:
+        return np.zeros(d.shape)
+    frac = (np.log10(d) - math.log10(d_60)) / (math.log10(d_h) - math.log10(d_60))
+    return np.where(d <= d_60, 0.0, end_value * np.minimum(frac, 1.0))
 
 
-def bullington_loss(g: LinkGeometry, frequency: float) -> float:
+def _bullington(g: LinkGeometry, frequency: float):
+    _check_bullington_heights(g, frequency)
+    d = distances(g.d)
+    d_h = horizon_distance(g)
+    beyond = d >= d_h
+    loss, errors = np.empty(d.shape), no_errors(d.size)
+    if beyond.any():
+        loss[beyond] = _beyond_horizon(replace(g, d=d[beyond]), frequency)
+    inside = ~beyond
+    if inside.any():
+        flat, errors[inside] = _two_ray_flat(d[inside], g.h_t, g.h_r, frequency)
+        shadow_at_horizon = (
+            _beyond_horizon(replace(g, d=d_h), frequency)
+            - two_ray_flat(d_h, g.h_t, g.h_r, frequency, reflection=-1.0)
+        )
+        d_60 = fresnel60_distance(g, frequency)
+        loss[inside] = flat + _log_bridge(d[inside], d_60, d_h, shadow_at_horizon)
+    return loss, errors
+
+
+def bullington_loss(g: LinkGeometry, frequency: float):
     """Plane-earth two-ray over a perfect conductor plus a shadow-loss correction.
 
     Within the horizon the loss is the plane-earth two-ray result with R = -1;
     the shadow loss relative to that plane-earth field is bridged linearly in
     log10(d) from 0 at the 60 %-clearance distance to its horizon value, and
     beyond the horizon the loss is free space plus the smooth-sphere
-    diffraction term.  Both seams are continuous by construction.
+    diffraction term.  Both seams are continuous by construction.  The
+    diffraction term is always the vertical-polarized one.
 
     Raises AntennaTooHigh above the 15 m validity ceiling near 868 MHz; at
     other frequencies a BullingtonValidityWarning is emitted above the
     f^(-1/3)-scaled ceiling instead.
     """
-    _check_bullington_heights(g, frequency)
+    return _checked(g.d, _bullington(g, frequency))
+
+
+def _rel(g: LinkGeometry, frequency: float, sea: SeaState, pol: Polarization):
+    d = distances(g.d)
     d_h = horizon_distance(g)
-    if g.d >= d_h:
-        return free_space_loss(g.d, frequency) + smooth_earth_diffraction_loss(g, frequency)
-    d_60 = fresnel60_distance(g, frequency)
-    flat = two_ray_flat(g.d, g.h_t, g.h_r, frequency, reflection=-1.0)
-    horizon_g = replace(g, d=d_h)
-    shadow_at_horizon = (
-        free_space_loss(d_h, frequency)
-        + smooth_earth_diffraction_loss(horizon_g, frequency)
-        - two_ray_flat(d_h, g.h_t, g.h_r, frequency, reflection=-1.0)
-    )
-    return flat + _log_bridge(g.d, d_60, d_h, shadow_at_horizon)
+    beyond = d >= d_h
+    loss, errors = np.empty(d.shape), no_errors(d.size)
+    if beyond.any():
+        loss[beyond] = _beyond_horizon(replace(g, d=d[beyond]), frequency)
+    inside = ~beyond
+    if inside.any():
+        base, errors[inside] = _two_ray_round(replace(g, d=d[inside]), frequency, sea, pol)
+        # Vertical polarization, like the beyond-horizon term, whatever pol is.
+        diffraction_at_horizon = smooth_earth_diffraction_loss(replace(g, d=d_h), frequency)
+        d_60 = fresnel60_distance(g, frequency)
+        loss[inside] = base + _log_bridge(d[inside], d_60, d_h, diffraction_at_horizon)
+    return loss, errors
 
 
 def rel_loss(
@@ -334,65 +412,67 @@ def rel_loss(
     frequency: float,
     sea: SeaState,
     pol: Polarization = Polarization.VERTICAL,
-) -> float:
+):
     """Round-earth two-ray with an effective sea reflection plus diffraction onset.
 
     The two-ray term uses the composed reflection coefficient (Fresnel x
     roughness x shadowing x divergence); the smooth-sphere diffraction loss is
     bridged in from 0 at the 60 %-clearance distance to its full horizon value
     at d_h.  Beyond the horizon, where no specular point exists, the loss
-    degrades gracefully to free space plus the full diffraction term.
+    degrades gracefully to free space plus the full diffraction term.  pol
+    sets the reflection only: the diffraction term is always the
+    vertical-polarized one.
     """
-    d_h = horizon_distance(g)
-    if g.d >= d_h:
-        return free_space_loss(g.d, frequency) + smooth_earth_diffraction_loss(g, frequency)
-    d_60 = fresnel60_distance(g, frequency)
-    r_eff = effective_reflection(g, frequency, sea, pol)
-    base = two_ray_round_earth(g, frequency, r_eff)
-    horizon_g = replace(g, d=d_h)
-    diffraction_at_horizon = smooth_earth_diffraction_loss(horizon_g, frequency)
-    return base + _log_bridge(g.d, d_60, d_h, diffraction_at_horizon)
+    return _checked(g.d, _rel(g, frequency, sea, pol))
 
 
 def _itu_spherical_diffraction(
-    d_m: float,
+    d_m,
     h_t: float,
     h_r: float,
     radius_m: float,
     frequency: float,
     polarization: Polarization,
-) -> float:
+):
     """Spherical-earth diffraction loss with marginal-LoS interpolation.
 
     Beyond the marginal line-of-sight distance the first term applies
     directly; inside it, the smallest clearance of the curved-earth ray is
     compared with the clearance needed for zero diffraction loss, and the
     first term evaluated at the effective radius that would make the path
-    marginally line-of-sight is scaled accordingly.  km / m units inside.
+    marginally line-of-sight is scaled accordingly.  km / m units inside;
+    d_m is an array.
     """
     a_km = radius_m / 1000.0
     d_km = d_m / 1000.0
     lam = wavelength(frequency)
 
-    def first_term(adft_km: float) -> float:
+    def first_term(d_m, adft_km):
         return _first_term_diffraction(
             d_m, h_t, h_r, adft_km * 1000.0, frequency,
             polarization, SEA_PERMITTIVITY, SEA_CONDUCTIVITY,
         )
 
+    loss = np.zeros(d_m.shape)
     d_los = math.sqrt(2.0 * a_km) * (math.sqrt(0.001 * h_t) + math.sqrt(0.001 * h_r))
-    if d_km >= d_los:
-        return max(0.0, first_term(a_km))
+    far = d_km >= d_los
+    if far.any():
+        loss[far] = np.maximum(0.0, first_term(d_m[far], a_km))
+    near = ~far
+    if not near.any():
+        return loss
 
-    # Smallest clearance between the curved-earth path and the direct ray.
+    # Inside d_los: smallest clearance between the curved-earth path and the
+    # direct ray.
+    d_km = d_km[near]
     c = (h_t - h_r) / (h_t + h_r)
     m = 250.0 * d_km * d_km / (a_km * (h_t + h_r))
     b = (
         2.0
-        * math.sqrt((m + 1.0) / (3.0 * m))
-        * math.cos(
+        * np.sqrt((m + 1.0) / (3.0 * m))
+        * np.cos(
             math.pi / 3.0
-            + math.acos(1.5 * c * math.sqrt(3.0 * m / (m + 1.0) ** 3)) / 3.0
+            + np.arccos(1.5 * c * np.sqrt(3.0 * m / (m + 1.0) ** 3)) / 3.0
         )
     )
     d_se1 = 0.5 * d_km * (1.0 + b)
@@ -401,14 +481,13 @@ def _itu_spherical_diffraction(
         (h_t - 500.0 * d_se1 * d_se1 / a_km) * d_se2
         + (h_r - 500.0 * d_se2 * d_se2 / a_km) * d_se1
     ) / d_km
-    h_req = 17.456 * math.sqrt(d_se1 * d_se2 * lam / d_km)
-    if h_se > h_req:
-        return 0.0
+    h_req = 17.456 * np.sqrt(d_se1 * d_se2 * lam / d_km)
     a_marginal = 500.0 * (d_km / (math.sqrt(h_t) + math.sqrt(h_r))) ** 2
-    loss = first_term(a_marginal)
-    if loss < 0.0:
-        return 0.0
-    return (1.0 - h_se / h_req) * loss
+    marginal = first_term(d_m[near], a_marginal)
+    loss[near] = np.where(
+        (h_se > h_req) | (marginal < 0.0), 0.0, (1.0 - h_se / h_req) * marginal
+    )
+    return loss
 
 
 def itu_p2001_reduced_loss(
@@ -416,7 +495,7 @@ def itu_p2001_reduced_loss(
     frequency: float,
     itu: ItuParams,
     polarization: Polarization = Polarization.VERTICAL,
-) -> float:
+):
     """Reduced ITU-R P.2001 loss: free space plus spherical-sea diffraction.
 
     Only the normal-propagation path under median conditions is evaluated;
@@ -432,41 +511,60 @@ def itu_p2001_reduced_loss(
         raise UnsupportedTimePercentage(
             "only the median (T_pc = 50) path is computed by the reduced model"
         )
+    d = distances(g.d)
     radius_m = itu.median_effective_radius_factor * g.earth.true_radius
-    diffraction = _itu_spherical_diffraction(
-        g.d, g.h_t, g.h_r, radius_m, frequency, polarization
-    )
-    return free_space_loss(g.d, frequency) + diffraction
+    diffraction = _itu_spherical_diffraction(d, g.h_t, g.h_r, radius_m, frequency, polarization)
+    return like(g.d, free_space_loss(d, frequency) + diffraction)
 
 
-def log_distance_loss(d: float, p: LogDistanceParams) -> float:
+def log_distance_loss(d, p: LogDistanceParams):
     """Empirical log-distance loss L_p0 + 10 n log10(d / d_0)."""
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    return p.l_p0 + 10.0 * p.n * math.log10(d / p.d_0)
+    return like(d, p.l_p0 + 10.0 * p.n * np.log10(distances(d) / p.d_0))
+
+
+def _model_losses(model_id: str, ctx: ModelContext, d: np.ndarray):
+    if model_id == "free-space":
+        return free_space_loss(d, ctx.frequency), no_errors(d.size)
+    if model_id == "two-ray-flat":
+        return _two_ray_flat(d, ctx.h_t, ctx.h_r, ctx.frequency)
+    if model_id == "two-ray-round":
+        return _two_ray_round(ctx.geometry_at(d), ctx.frequency, ctx.sea, ctx.polarization)
+    if model_id == "rel":
+        return _rel(ctx.geometry_at(d), ctx.frequency, ctx.sea, ctx.polarization)
+    if model_id == "bullington":
+        return _bullington(ctx.geometry_at(d), ctx.frequency)
+    if model_id == "itu":
+        loss = itu_p2001_reduced_loss(ctx.geometry_at(d), ctx.frequency, ctx.itu, ctx.polarization)
+        return loss, no_errors(d.size)
+    if model_id == "log-distance":
+        if ctx.log_distance is None:
+            raise ConfigError("log-distance model requires fitted parameters in the context")
+        return log_distance_loss(d, ctx.log_distance), no_errors(d.size)
+    raise ConfigError(f"unknown model id: {model_id!r}")
+
+
+def losses(model_id: str, ctx: ModelContext, d) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one model at every distance of d in one vectorized pass.
+
+    What depends on the context only (wavelength, horizon and 60 %-clearance
+    distances, the horizon-value diffraction, the validity checks) is
+    computed once per call.  Returns the losses in dB and, per point, None or
+    the SeaLossError that evaluate_model raises there; such a point's loss is
+    nan.  A domain error of the whole context (e.g. AntennaTooHigh) becomes
+    every point's error.  ConfigError and non-positive distances raise.
+    """
+    d = distances(d)
+    try:
+        return _model_losses(model_id, ctx, d)
+    except ConfigError:
+        raise
+    except SeaLossError as exc:
+        return np.full(d.shape, np.nan), np.full(d.shape, exc, dtype=object)
 
 
 def evaluate_model(model_id: str, ctx: ModelContext, d: float) -> float:
     """Evaluate one model of the family at a single distance."""
-    if model_id == "free-space":
-        return free_space_loss(d, ctx.frequency)
-    if model_id == "two-ray-flat":
-        return two_ray_flat(d, ctx.h_t, ctx.h_r, ctx.frequency, reflection=-1.0)
-    if model_id == "two-ray-round":
-        g = ctx.geometry_at(d)
-        r_eff = effective_reflection(g, ctx.frequency, ctx.sea, ctx.polarization)
-        return two_ray_round_earth(g, ctx.frequency, r_eff)
-    if model_id == "rel":
-        return rel_loss(ctx.geometry_at(d), ctx.frequency, ctx.sea, ctx.polarization)
-    if model_id == "bullington":
-        return bullington_loss(ctx.geometry_at(d), ctx.frequency)
-    if model_id == "itu":
-        return itu_p2001_reduced_loss(ctx.geometry_at(d), ctx.frequency, ctx.itu, ctx.polarization)
-    if model_id == "log-distance":
-        if ctx.log_distance is None:
-            raise ConfigError("log-distance model requires fitted parameters in the context")
-        return log_distance_loss(d, ctx.log_distance)
-    raise ConfigError(f"unknown model id: {model_id!r}")
+    return _checked(d, losses(model_id, ctx, d))
 
 
 def distance_grid(d_min: float, d_max: float, n_points: int, spacing: str = "log") -> list:
@@ -502,38 +600,26 @@ def sweep(
 
     Distances where the model raises a domain error (e.g. a beyond-horizon
     two-ray) are recorded in the curve's skipped list rather than fabricated.
-    Results are identical regardless of the thread count since points are
-    gathered in grid order.
+    The whole grid is one vectorized evaluation; threads is accepted for
+    compatibility and ignored.
     """
     grid = distance_grid(d_min, d_max, n_points, spacing)
-
-    def one(d: float):
-        try:
-            return evaluate_model(model_id, ctx, d)
-        except ConfigError:
-            raise  # not a per-point domain error
-        except SeaLossError as exc:
-            return exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, grid))
-    else:
-        results = [one(d) for d in grid]
-
-    distances, losses, skipped = [], [], []
-    for d, res in zip(grid, results):
-        if isinstance(res, SeaLossError):
-            skipped.append((d, f"{type(res).__name__}: {res}"))
-        else:
-            distances.append(d)
-            losses.append(res)
+    loss, errors = losses(model_id, ctx, grid)
+    bad = failed(errors)
+    skipped = tuple(
+        (grid[i], f"{type(errors[i]).__name__}: {errors[i]}") for i in np.flatnonzero(bad)
+    )
     return ModelCurve(
         model_id=model_id,
-        distances=tuple(distances),
-        losses=tuple(losses),
-        skipped=tuple(skipped),
+        distances=tuple(np.asarray(grid)[~bad].tolist()),
+        losses=tuple(loss[~bad].tolist()),
+        skipped=skipped,
     )
+
+
+_RANGE_SCAN_POINTS = 2048
+# Interior points per refinement round of max_range.
+_RANGE_SECTIONS = np.arange(1, 33) / 33.0
 
 
 def max_range(
@@ -547,34 +633,34 @@ def max_range(
 
     A dense logarithmic scan locates the outermost distance where the
     predicted loss stays within the budget (robust against the oscillatory
-    two-ray region), then the crossing is refined by bisection.
+    two-ray region).  The crossing is then refined by k-section: each round
+    evaluates 32 interior points of the bracket at once and keeps the
+    outermost closes-to-fails step, until no float lies inside the bracket.
 
     Raises NoCoverage if the budget fails even at d_min and UnboundedRange if
     it still holds at the search cap.
     """
     budget = radio.budget
 
-    def closes(d: float) -> bool:
-        try:
-            return evaluate_model(model_id, ctx, d) <= budget
-        except ConfigError:
-            raise
-        except SeaLossError:
-            return False
+    def closes(d) -> np.ndarray:
+        loss, errors = losses(model_id, ctx, d)
+        return ~failed(errors) & (loss <= budget)
 
-    n_scan = 2048
-    grid = distance_grid(d_min, d_cap, n_scan, "log")
-    ok = [closes(d) for d in grid]
+    grid = np.asarray(distance_grid(d_min, d_cap, _RANGE_SCAN_POINTS, "log"))
+    ok = closes(grid)
     if ok[-1]:
         raise UnboundedRange(d_cap)
-    last = max((i for i, v in enumerate(ok) if v), default=-1)
-    if last < 0:
+    if not ok.any():
         raise NoCoverage(f"budget {budget:.1f} dB fails even at {d_min:.0f} m")
+    last = np.flatnonzero(ok)[-1]
     lo, hi = grid[last], grid[last + 1]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if closes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    while True:
+        inner = lo + (hi - lo) * _RANGE_SECTIONS
+        inner = inner[(lo < inner) & (inner < hi)]
+        if inner.size == 0:
+            return float(lo)
+        # The bracket ends are known: lo closes, hi fails.
+        points = np.concatenate(([lo], inner, [hi]))
+        ok = np.concatenate(([True], closes(inner), [False]))
+        last = np.flatnonzero(ok)[-1]
+        lo, hi = points[last], points[last + 1]

@@ -8,14 +8,21 @@ surface slopes, and the spherical-earth divergence factor.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
 from scipy.special import erfc, i0e
 
-from .geometry import LinkGeometry, ReflectionGeometry, reflection_geometry, wavelength
+from .geometry import (
+    LinkGeometry,
+    ReflectionGeometry,
+    as_array,
+    like,
+    reflection_geometry,
+    wavelength,
+)
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 
@@ -62,7 +69,10 @@ class SeaState:
 
 @dataclass(frozen=True)
 class EffectiveReflection:
-    """Composed reflection coefficient with its component breakdown retained."""
+    """Composed reflection coefficient with its component breakdown retained.
+
+    Every field is a number, or a 1-D array with one entry per specular point.
+    """
 
     magnitude: float
     phase: float
@@ -73,7 +83,7 @@ class EffectiveReflection:
 
     def __post_init__(self):
         recomposed = abs(self.fresnel) * self.roughness * self.shadowing * self.divergence
-        if abs(self.magnitude - recomposed) > 1e-12:
+        if np.any(abs(self.magnitude - recomposed) > 1e-12):
             raise ValueError("magnitude does not equal the product of its components")
 
     @property
@@ -87,17 +97,17 @@ class EffectiveReflection:
 
     @property
     def value(self) -> complex:
-        """The effective coefficient as a complex number."""
-        return self.magnitude * cmath.exp(1j * self.phase)
+        """The effective coefficient as a complex number (or array)."""
+        return like(self.magnitude, self.magnitude * np.exp(1j * as_array(self.phase)))
 
 
 def fresnel_reflection(
-    grazing_angle: float,
+    grazing_angle,
     frequency: float,
     sea: SeaState,
     pol: Polarization = Polarization.VERTICAL,
-) -> complex:
-    """Fresnel reflection coefficient of the lossy sea at a grazing angle.
+):
+    """Fresnel reflection coefficient of the lossy sea at a grazing angle (or array).
 
     Standard smooth-surface coefficients for a dielectric with complex
     permittivity eps = eps_r - j sigma/(2 pi f eps_0).  Circular polarisation
@@ -105,67 +115,104 @@ def fresnel_reflection(
     sea reflection; documented simplification).  Both linear coefficients tend
     to -1 at grazing incidence.
     """
-    if not 0.0 < grazing_angle <= math.pi / 2.0:
+    psi = as_array(grazing_angle)
+    if not np.all((0.0 < psi) & (psi <= math.pi / 2.0)):
         raise ValueError("grazing angle must lie in (0, pi/2]")
     eps = sea.complex_permittivity(frequency)
-    sin_psi = math.sin(grazing_angle)
-    cos2_psi = math.cos(grazing_angle) ** 2
-    root = cmath.sqrt(eps - cos2_psi)
+    sin_psi = np.sin(psi)
+    cos2_psi = np.cos(psi) ** 2
+    root = np.sqrt(eps - cos2_psi)
     if pol is Polarization.HORIZONTAL:
-        return (sin_psi - root) / (sin_psi + root)
-    return (eps * sin_psi - root) / (eps * sin_psi + root)
+        return like(grazing_angle, (sin_psi - root) / (sin_psi + root))
+    return like(grazing_angle, (eps * sin_psi - root) / (eps * sin_psi + root))
 
 
 def roughness_factor(
-    grazing_angle: float,
+    grazing_angle,
     wavelength: float,
     sea: SeaState,
     method: str = "miller-brown",
-) -> float:
+):
     """Specular scattering attenuation of a rough sea, in [0, 1].
 
     Miller-Brown-Vegh: rho = exp(-2 g^2) I0(2 g^2) with the Rayleigh roughness
     parameter g = 2 pi sigma_h sin(psi) / lambda.  method="ament" gives the
-    plain exp(-2 g^2) factor instead.
+    plain exp(-2 g^2) factor instead.  grazing_angle may be an array.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    g = 2.0 * math.pi * sea.sigma_h * math.sin(grazing_angle) / wavelength
+    g = 2.0 * math.pi * sea.sigma_h * np.sin(as_array(grazing_angle)) / wavelength
     if method == "miller-brown":
         # i0e(x) = exp(-x) I0(x), so this is exp(-2g^2) I0(2g^2) without overflow.
-        return float(i0e(2.0 * g * g))
+        return like(grazing_angle, i0e(2.0 * g * g))
     if method == "ament":
-        return math.exp(-2.0 * g * g)
+        return like(grazing_angle, np.exp(-2.0 * g * g))
     raise ValueError(f"unknown roughness method: {method!r}")
 
 
-def shadowing_factor(grazing_angle: float, sea: SeaState) -> float:
+def shadowing_factor(grazing_angle, sea: SeaState):
     """Smith shadowing function for a Gaussian-slope surface, in [0, 1].
 
     S = (1 - erfc(v)/2) / (Lambda(v) + 1) with v = tan(psi) / (sqrt(2) beta_0)
     and Lambda(v) = (exp(-v^2) / (v sqrt(pi)) - erfc(v)) / 2.  A zero RMS
-    slope means no shadowing.
+    slope means no shadowing.  grazing_angle may be an array.
     """
-    if grazing_angle <= 0:
+    psi = as_array(grazing_angle)
+    if np.any(psi <= 0):
         raise ValueError("grazing angle must be positive")
     if sea.beta_0 == 0.0:
-        return 1.0
-    v = math.tan(grazing_angle) / (math.sqrt(2.0) * sea.beta_0)
-    erfc_v = float(erfc(v))
-    lam = (math.exp(-v * v) / (v * math.sqrt(math.pi)) - erfc_v) / 2.0
-    return (1.0 - erfc_v / 2.0) / (lam + 1.0)
+        return like(grazing_angle, np.ones_like(psi))
+    v = np.tan(psi) / (math.sqrt(2.0) * sea.beta_0)
+    erfc_v = erfc(v)
+    lam = (np.exp(-v * v) / (v * math.sqrt(math.pi)) - erfc_v) / 2.0
+    return like(grazing_angle, (1.0 - erfc_v / 2.0) / (lam + 1.0))
 
 
-def divergence_factor(rg: ReflectionGeometry, g: LinkGeometry) -> float:
+def divergence_factor(rg: ReflectionGeometry, g: LinkGeometry):
     """Amplitude reduction of the reflected ray from defocusing by the convex earth.
 
     Classical spherical-earth form D = [1 + 2 x x' / (r_e (x + x') sin psi)]^(-1/2)
     evaluated with the tangent-plane quantities of the reflection geometry.
+    Only g's earth model is used.
     """
     r_e = g.earth.effective_radius
-    x, xp = rg.ground_x, rg.ground_x_prime
-    term = 2.0 * x * xp / (r_e * (x + xp) * math.sin(rg.grazing_angle))
-    return 1.0 / math.sqrt(1.0 + term)
+    x, xp = as_array(rg.ground_x), as_array(rg.ground_x_prime)
+    term = 2.0 * x * xp / (r_e * (x + xp) * np.sin(as_array(rg.grazing_angle)))
+    return like(rg.ground_x, 1.0 / np.sqrt(1.0 + term))
+
+
+def effective_reflection_at(
+    rg: ReflectionGeometry,
+    g: LinkGeometry,
+    frequency: float,
+    sea: SeaState,
+    pol: Polarization = Polarization.VERTICAL,
+    include_roughness: bool = True,
+    include_shadowing: bool = True,
+    include_divergence: bool = True,
+    roughness_method: str = "miller-brown",
+) -> EffectiveReflection:
+    """Compose Fresnel x roughness x shadowing x divergence at solved specular points.
+
+    rg holds numbers or arrays (one entry per point); only g's earth model is
+    used.  A factor that is toggled off enters as 1.
+    """
+    psi = rg.grazing_angle
+    fresnel = fresnel_reflection(psi, frequency, sea, pol)
+    rho = (
+        roughness_factor(psi, wavelength(frequency), sea, roughness_method)
+        if include_roughness else 1.0
+    )
+    shadow = shadowing_factor(psi, sea) if include_shadowing else 1.0
+    div = divergence_factor(rg, g) if include_divergence else 1.0
+    return EffectiveReflection(
+        magnitude=abs(fresnel) * rho * shadow * div,
+        phase=like(psi, np.angle(fresnel)),
+        fresnel=fresnel,
+        roughness=rho,
+        shadowing=shadow,
+        divergence=div,
+    )
 
 
 def effective_reflection(
@@ -182,21 +229,10 @@ def effective_reflection(
 
     Each statistical factor can be toggled off (it then enters as 1) so the
     contributions stay auditable one at a time.  Raises NoSpecularPoint
-    beyond the horizon (propagated from the geometry).
+    beyond the horizon (propagated from the geometry).  For an array of
+    distances every field is an array.
     """
-    rg = reflection_geometry(g)
-    fresnel = fresnel_reflection(rg.grazing_angle, frequency, sea, pol)
-    rho = (
-        roughness_factor(rg.grazing_angle, wavelength(frequency), sea, roughness_method)
-        if include_roughness else 1.0
-    )
-    shadow = shadowing_factor(rg.grazing_angle, sea) if include_shadowing else 1.0
-    div = divergence_factor(rg, g) if include_divergence else 1.0
-    return EffectiveReflection(
-        magnitude=abs(fresnel) * rho * shadow * div,
-        phase=cmath.phase(fresnel),
-        fresnel=fresnel,
-        roughness=rho,
-        shadowing=shadow,
-        divergence=div,
+    return effective_reflection_at(
+        reflection_geometry(g), g, frequency, sea, pol,
+        include_roughness, include_shadowing, include_divergence, roughness_method,
     )

@@ -189,6 +189,27 @@ class TestAnalyze:
         assert code == 2
 
 
+def too_high_config(tmp_path) -> str:
+    doc = load_campaign("campaign2").to_dict()
+    doc["geometry"]["tx_height_m"] = 20_000.0
+    path = tmp_path / "too_high.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_curves_height_above_ceiling_exit_2(tmp_path, capsys):
+    code, _, err = run(["curves", "--config", too_high_config(tmp_path),
+                        "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "config error" in err
+
+
+def test_range_height_above_ceiling_exit_2(tmp_path, capsys):
+    code, _, err = run(["range", "--config", too_high_config(tmp_path)], capsys)
+    assert code == 2
+    assert "config error" in err
+
+
 class TestRange:
     def test_budget_breakdown(self, capsys):
         code, out, _ = run(["range", "--config", "campaign2"], capsys)

@@ -90,6 +90,16 @@ class TestParseLog:
         parsed = parse_log(log_stream(["2020-08-15T09:00:00Z,55.7,12.9,-100\n"]))
         assert parsed.records[0].timestamp == 1597482000.0
 
+    def test_non_finite_timestamps_rejected(self):
+        # nan/inf parse as floats but can never fall inside a time exclusion zone
+        rows = ["nan,55.7,12.9,-100\n", "inf,55.7,12.9,-100\n", "-Infinity,55.7,12.9,-100\n",
+                "1597482000,55.7,12.9,-100\n"]
+        parsed = parse_log(log_stream(rows))
+        assert len(parsed.records) == 1
+        assert [(line, reason) for line, reason, _ in parsed.rejects] == [
+            (2, "bad timestamp"), (3, "bad timestamp"), (4, "bad timestamp"),
+        ]
+
 
 class TestCalibration:
     def test_identity_table(self):
@@ -285,6 +295,13 @@ class TestCampaignConfig:
         doc["radio"]["rx_sensitivity_dbm"] = float("-inf")
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict(doc)
+
+    def test_height_above_ceiling_rejected(self):
+        for key in ("tx_height_m", "rx_height_m"):
+            doc = load_campaign("campaign2").to_dict()
+            doc["geometry"][key] = 20_000.0
+            with pytest.raises(ConfigError):
+                CampaignConfig.from_dict(doc)
 
     def test_model_context_geometry(self, campaign2):
         ctx = campaign2.model_context()

@@ -19,9 +19,11 @@ from sealoss import (
     ModelContext,
     ModelCurve,
     NoCoverage,
+    NumericalFailure,
     Polarization,
     RadioConfig,
     SampleSet,
+    SeaLossError,
     SeaState,
     UnboundedRange,
     UnsupportedTimePercentage,
@@ -121,6 +123,24 @@ class TestTwoRayFlat:
         for d in distance_grid(10.0 * d_c, d_h, 100, "log"):
             asym = 40.0 * math.log10(d) - 20.0 * math.log10(0.35 * 5.2)
             assert abs(two_ray_flat(d, 0.35, 5.2, F) - asym) < 3.0
+
+
+class TestTwoRayZeroField:
+    # far out r - l rounds to exactly 0 for these low antennas, so with R = -1
+    # the field sum cancels; that is a NumericalFailure, not a bare ValueError
+    CTX = ModelContext(h_t=0.015, h_r=0.017, frequency=250e6)
+
+    def test_evaluate_model_raises_sealoss_error(self):
+        with pytest.raises(NumericalFailure, match="cancels to zero"):
+            evaluate_model("two-ray-flat", self.CTX, 2.2e6)
+        with pytest.raises(NumericalFailure):
+            two_ray_flat(2.25e6, 0.015, 0.017, 250e6)
+
+    def test_sweep_skips_the_points(self):
+        curve = sweep("two-ray-flat", self.CTX, 2.2e6, 2.25e6, 20)
+        assert curve.distances == ()
+        assert len(curve.skipped) == 20
+        assert all(reason.startswith("NumericalFailure: ") for _, reason in curve.skipped)
 
 
 class TestTwoRayRoundEarth:
@@ -367,6 +387,19 @@ class TestSweep:
         curve = sweep("free-space", self.ctx(), 50.0, 5000.0, 40)
         for d, loss in zip(curve.distances, curve.losses):
             assert loss == free_space_loss(d, F)
+
+    @pytest.mark.parametrize("model", ["two-ray-flat", "two-ray-round", "rel", "bullington", "itu"])
+    def test_sweep_is_the_scalar_model_bit_for_bit(self, model):
+        # one vectorized pass over the grid gives exactly what the scalar API
+        # gives point by point, skip reasons included
+        ctx = self.ctx(sea=SeaState(sigma_h=0.05, beta_0=0.002), polarization=Polarization.HORIZONTAL)
+        curve = sweep(model, ctx, 10.0, 30_000.0, 60)
+        for d, loss in zip(curve.distances, curve.losses):
+            assert evaluate_model(model, ctx, d) == loss
+        for d, reason in curve.skipped:
+            with pytest.raises(SeaLossError) as err:
+                evaluate_model(model, ctx, d)
+            assert f"{type(err.value).__name__}: {err.value}" == reason
 
     def test_skipped_points_recorded(self):
         curve = sweep("two-ray-round", self.ctx(), 9000.0, 12_000.0, 10)
