@@ -249,16 +249,18 @@ def specular_points(g: LinkGeometry):
     xp_g = d - x_g
     h_t_p = g.h_t - x_g * x_g / (2.0 * r_e)
     h_r_p = g.h_r - xp_g * xp_g / (2.0 * r_e)
-    # Numerically indistinguishable from the horizon.
-    collapsed = ~failed(errors) & ((h_t_p <= 0.0) | (h_r_p <= 0.0))
+    x, x_p, l = np.hypot(x_g, h_t_p), np.hypot(xp_g, h_r_p), np.hypot(d, h_t_p - h_r_p)
+    # Numerically indistinguishable from the horizon: within rounding of it the
+    # tangent-plane heights or the reflected-path excess x + x' - l go negative.
+    collapsed = ~failed(errors) & ((h_t_p <= 0.0) | (h_r_p <= 0.0) | (x + x_p < l))
     for i in np.flatnonzero(collapsed):
         errors[i] = NoSpecularPoint(f"grazing geometry collapsed at d = {d[i]:.1f} m")
     ok = ~failed(errors)
-    d, x_g, xp_g, h_t_p, h_r_p = (a[ok] for a in (d, x_g, xp_g, h_t_p, h_r_p))
+    x, x_p, l, x_g, xp_g, h_t_p, h_r_p = (a[ok] for a in (x, x_p, l, x_g, xp_g, h_t_p, h_r_p))
     rg = ReflectionGeometry(
-        x=np.hypot(x_g, h_t_p),
-        x_prime=np.hypot(xp_g, h_r_p),
-        l=np.hypot(d, h_t_p - h_r_p),
+        x=x,
+        x_prime=x_p,
+        l=l,
         h_t_prime=h_t_p,
         h_r_prime=h_r_p,
         grazing_angle=np.arctan2(h_t_p, x_g),

@@ -191,92 +191,31 @@ class CampaignConfig:
         """Fully resolved configuration (all defaults materialized)."""
         return {
             "name": self.name,
-            "bs_position": {
-                "latitude": self.bs_position.latitude,
-                "longitude": self.bs_position.longitude,
-            },
-            "radio": {
-                "frequency_hz": self.radio.frequency,
-                "tx_power_dbm": self.radio.tx_power,
-                "tx_antenna_gain_dbi": self.radio.tx_antenna_gain,
-                "rx_antenna_gain_dbi": self.radio.rx_antenna_gain,
-                "polarization_loss_db": self.radio.polarization_loss,
-                "rx_sensitivity_dbm": self.radio.rx_sensitivity,
-            },
+            "bs_position": _section(self.bs_position, _POSITION),
+            "radio": _section(self.radio, _RADIO),
             "geometry": {
-                "tx_height_m": self.tx_height,
-                "rx_height_m": self.rx_height,
-                "earth": {
-                    "true_radius_m": self.earth.true_radius,
-                    "effective_radius_factor": self.earth.effective_radius_factor,
-                },
+                **_section(self, _GEOMETRY),
+                "earth": _section(self.earth, _EARTH),
             },
-            "sea": {
-                "sigma_h_m": self.sea.sigma_h,
-                "beta_0_rad": self.sea.beta_0,
-                "relative_permittivity": self.sea.relative_permittivity,
-                "conductivity_s_per_m": self.sea.conductivity,
-            },
+            "sea": _section(self.sea, _SEA),
             "polarization": self.polarization.value,
-            "itu": {
-                "time_percentage": self.itu.time_percentage,
-                "median_effective_radius_factor": self.itu.median_effective_radius_factor,
-            },
-            "exclusion_zones": [
-                {"kind": z.kind, "start": z.start, "end": z.end} for z in self.exclusion_zones
-            ],
+            "itu": _section(self.itu, _ITU),
+            "exclusion_zones": [_section(z, _ZONE) for z in self.exclusion_zones],
             "log_distance_reference_m": self.log_distance_reference,
             "metadata": dict(self.metadata),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignConfig":
+        """The config a JSON document describes; a missing optional key takes its default.
+
+        Raises ConfigError for a malformed document, naming every key the
+        schema does not know (e.g. ``sea.sigma_h``).  metadata is free-form.
+        """
         try:
-            radio = doc["radio"]
-            geom = doc["geometry"]
-            earth_doc = geom.get("earth", {})
-            sea_doc = doc.get("sea", {})
-            itu_doc = doc.get("itu", {})
-            return cls(
-                name=doc.get("name", "campaign"),
-                bs_position=GeoPoint(
-                    latitude=float(doc["bs_position"]["latitude"]),
-                    longitude=float(doc["bs_position"]["longitude"]),
-                ),
-                radio=RadioConfig(
-                    frequency=float(radio["frequency_hz"]),
-                    tx_power=float(radio["tx_power_dbm"]),
-                    tx_antenna_gain=float(radio.get("tx_antenna_gain_dbi", 0.0)),
-                    rx_antenna_gain=float(radio.get("rx_antenna_gain_dbi", 0.0)),
-                    polarization_loss=float(radio.get("polarization_loss_db", 0.0)),
-                    rx_sensitivity=float(radio.get("rx_sensitivity_dbm", -138.0)),
-                ),
-                tx_height=float(geom["tx_height_m"]),
-                rx_height=float(geom["rx_height_m"]),
-                earth=EarthModel(
-                    true_radius=float(earth_doc.get("true_radius_m", 6_371_000.0)),
-                    effective_radius_factor=float(earth_doc.get("effective_radius_factor", 1.0)),
-                ),
-                sea=SeaState(
-                    sigma_h=float(sea_doc.get("sigma_h_m", 0.1)),
-                    beta_0=float(sea_doc.get("beta_0_rad", 0.05)),
-                    relative_permittivity=float(sea_doc.get("relative_permittivity", 70.0)),
-                    conductivity=float(sea_doc.get("conductivity_s_per_m", 5.0)),
-                ),
-                polarization=Polarization(doc.get("polarization", "vertical")),
-                itu=ItuParams(
-                    time_percentage=float(itu_doc.get("time_percentage", 50.0)),
-                    median_effective_radius_factor=float(
-                        itu_doc.get("median_effective_radius_factor", 4.0 / 3.0)
-                    ),
-                ),
-                exclusion_zones=tuple(
-                    ExclusionZone(kind=z["kind"], start=float(z["start"]), end=float(z["end"]))
-                    for z in doc.get("exclusion_zones", [])
-                ),
-                log_distance_reference=float(doc.get("log_distance_reference_m", 100.0)),
-                metadata=dict(doc.get("metadata", {})),
-            )
+            fields = {"name": "campaign", **_attributes(doc, _CAMPAIGN, "")}
+            fields.update(_attributes(fields.pop("geometry"), _GEOMETRY, "geometry."))
+            return cls(**{attr: _READ[attr](value) for attr, value in fields.items()})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid campaign config: {exc}") from exc
 
@@ -290,6 +229,91 @@ class CampaignConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
+
+
+# The campaign JSON schema, one table per section: JSON key -> attribute of the
+# object the section describes.  to_dict, from_dict and the unknown-key check
+# all read these tables, and a key missing from a document takes the
+# dataclass default.  "geometry" holds CampaignConfig's heights and earth.
+_CAMPAIGN = {
+    "name": "name",
+    "bs_position": "bs_position",
+    "radio": "radio",
+    "geometry": "geometry",
+    "sea": "sea",
+    "polarization": "polarization",
+    "itu": "itu",
+    "exclusion_zones": "exclusion_zones",
+    "log_distance_reference_m": "log_distance_reference",
+    "metadata": "metadata",
+}
+_POSITION = {"latitude": "latitude", "longitude": "longitude"}
+_RADIO = {
+    "frequency_hz": "frequency",
+    "tx_power_dbm": "tx_power",
+    "tx_antenna_gain_dbi": "tx_antenna_gain",
+    "rx_antenna_gain_dbi": "rx_antenna_gain",
+    "polarization_loss_db": "polarization_loss",
+    "rx_sensitivity_dbm": "rx_sensitivity",
+}
+_GEOMETRY = {"tx_height_m": "tx_height", "rx_height_m": "rx_height", "earth": "earth"}
+_EARTH = {"true_radius_m": "true_radius", "effective_radius_factor": "effective_radius_factor"}
+_SEA = {
+    "sigma_h_m": "sigma_h",
+    "beta_0_rad": "beta_0",
+    "relative_permittivity": "relative_permittivity",
+    "conductivity_s_per_m": "conductivity",
+}
+_ITU = {
+    "time_percentage": "time_percentage",
+    "median_effective_radius_factor": "median_effective_radius_factor",
+}
+_ZONE = {"kind": "kind", "start": "start", "end": "end"}
+
+
+def _section(obj, table: dict) -> dict:
+    """obj as its JSON section: {JSON key: attribute value}."""
+    return {key: getattr(obj, attr) for key, attr in table.items()}
+
+
+def _attributes(doc, table: dict, path: str) -> dict:
+    """A JSON section as {attribute: JSON value}; raises ConfigError on unknown keys."""
+    if not isinstance(doc, dict):
+        where = path.rstrip(".") or "document"
+        raise ConfigError(f"invalid campaign config: {where} is not an object")
+    unknown = [path + key for key in doc if key not in table]
+    if unknown:
+        raise ConfigError(f"invalid campaign config: unknown key {', '.join(unknown)}")
+    return {table[key]: value for key, value in doc.items()}
+
+
+def _read_floats(cls, table: dict, path: str):
+    """Reader of a section whose attributes are all floats, building a cls."""
+    return lambda doc: cls(**{a: float(v) for a, v in _attributes(doc, table, path).items()})
+
+
+def _zone(doc, path: str) -> ExclusionZone:
+    z = _attributes(doc, _ZONE, path)
+    return ExclusionZone(kind=z["kind"], start=float(z["start"]), end=float(z["end"]))
+
+
+# How from_dict reads each CampaignConfig attribute from its JSON value.
+_READ = {
+    "name": lambda name: name,
+    "bs_position": _read_floats(GeoPoint, _POSITION, "bs_position."),
+    "radio": _read_floats(RadioConfig, _RADIO, "radio."),
+    "tx_height": float,
+    "rx_height": float,
+    "earth": _read_floats(EarthModel, _EARTH, "geometry.earth."),
+    "sea": _read_floats(SeaState, _SEA, "sea."),
+    "polarization": Polarization,
+    "itu": _read_floats(ItuParams, _ITU, "itu."),
+    "exclusion_zones": lambda zones: tuple(
+        _zone(z, f"exclusion_zones[{i}].") for i, z in enumerate(zones)
+    ),
+    "log_distance_reference": float,
+    "metadata": dict,
+}
 
 
 def builtin_data_path(name: str) -> Path:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc, i0e
 
 from .geometry import (
     LinkGeometry,
@@ -127,6 +126,31 @@ def fresnel_reflection(
     return like(grazing_angle, (eps * sin_psi - root) / (eps * sin_psi + root))
 
 
+# exp(-x) I0(x) is evaluated directly up to here; np.i0 overflows past ~713.
+_I0E_SERIES_FROM = 700.0
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _i0e(x: np.ndarray) -> np.ndarray:
+    """Exponentially scaled modified Bessel function exp(-x) I0(x) for x >= 0.
+
+    Above _I0E_SERIES_FROM the first four terms of the large-argument series
+    exp(-x) I0(x) ~ (1 + 1/(8x) + 9/(128x^2) + 225/(3072x^3)) / sqrt(2 pi x)
+    replace the direct product, whose I0 factor would overflow; the omitted
+    terms are below 1e-12 relative there.
+    """
+    small = np.minimum(x, _I0E_SERIES_FROM)
+    large = np.maximum(x, _I0E_SERIES_FROM)
+    inv = 1.0 / large
+    series = 1.0 + inv * (1.0 / 8.0 + inv * (9.0 / 128.0 + inv * (225.0 / 3072.0)))
+    return np.where(
+        x <= _I0E_SERIES_FROM,
+        np.exp(-small) * np.i0(small),
+        series / np.sqrt(2.0 * math.pi * large),
+    )
+
+
 def roughness_factor(
     grazing_angle,
     wavelength: float,
@@ -143,8 +167,7 @@ def roughness_factor(
         raise ValueError("wavelength must be positive")
     g = 2.0 * math.pi * sea.sigma_h * np.sin(as_array(grazing_angle)) / wavelength
     if method == "miller-brown":
-        # i0e(x) = exp(-x) I0(x), so this is exp(-2g^2) I0(2g^2) without overflow.
-        return like(grazing_angle, i0e(2.0 * g * g))
+        return like(grazing_angle, _i0e(2.0 * g * g))
     if method == "ament":
         return like(grazing_angle, np.exp(-2.0 * g * g))
     raise ValueError(f"unknown roughness method: {method!r}")
@@ -163,7 +186,7 @@ def shadowing_factor(grazing_angle, sea: SeaState):
     if sea.beta_0 == 0.0:
         return like(grazing_angle, np.ones_like(psi))
     v = np.tan(psi) / (math.sqrt(2.0) * sea.beta_0)
-    erfc_v = erfc(v)
+    erfc_v = _erfc(v).astype(float)
     lam = (np.exp(-v * v) / (v * math.sqrt(math.pi)) - erfc_v) / 2.0
     return like(grazing_angle, (1.0 - erfc_v / 2.0) / (lam + 1.0))
 

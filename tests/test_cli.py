@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 
+import sealoss
 from sealoss import builtin_data_path, load_campaign
 from sealoss.cli import main
 
@@ -23,6 +27,15 @@ def read_dir(path: Path) -> dict:
 
 
 class TestCurves:
+    def test_point_in_the_horizon_rounding_band(self, tmp_path, capsys):
+        code, _, err = run(["curves", "--config", "campaign1", "--models", "rel",
+                            "--dmin", "7922.577", "--dmax", "9000", "--points", "2",
+                            "--out", str(tmp_path)], capsys)
+        assert code == 0 and "Traceback" not in err
+        rel = json.loads((tmp_path / "curves.json").read_text())["curves"]["rel"]
+        assert rel["distances_m"] == [9000.0]
+        assert rel["skipped"][0]["reason"].startswith("NoSpecularPoint: grazing geometry collapsed")
+
     def test_two_point_single_model(self, tmp_path, capsys):
         code, out, _ = run(
             ["curves", "--config", "campaign2", "--models", "free-space",
@@ -210,7 +223,31 @@ def test_range_height_above_ceiling_exit_2(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_unknown_config_key_exit_2(tmp_path, capsys):
+    doc = load_campaign("campaign2").to_dict()
+    doc["sea"]["sigma_h"] = 9.9
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["curves", "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "sea.sigma_h" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(sealoss.__file__).parents[1])
+    probe = "import sys, sealoss.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
 class TestRange:
+    def test_all_models_up_to_the_horizon(self, capsys):
+        # two-ray-round is searched right up to campaign1's horizon
+        code, out, err = run(["range", "--config", "campaign1", "--models", "all"], capsys)
+        assert code == 0 and err == ""
+        assert "two-ray-round: max range 7922.7 m" in out
+
     def test_budget_breakdown(self, capsys):
         code, out, _ = run(["range", "--config", "campaign2"], capsys)
         assert code == 0

@@ -175,6 +175,12 @@ class TestReflectionGeometry:
         with pytest.raises(NoSpecularPoint):
             reflection_geometry(link(0.35, 5.2, d_h))
 
+    def test_rounding_band_inside_horizon(self):
+        # 0.1 m inside campaign1's horizon (7922.68 m) the solved point gives
+        # x + x' < l by rounding: no specular point there, not a bare ValueError
+        with pytest.raises(NoSpecularPoint, match="grazing geometry collapsed"):
+            reflection_geometry(link(0.35, 2.65, 7922.577))
+
     def test_brute_force_oracle_5km(self):
         # exact-sphere reflected-path minimisation on a 1 mm grid
         rg = reflection_geometry(link(0.35, 5.2, 5000.0))

@@ -8,11 +8,15 @@ from sealoss import (
     CalibrationTable,
     CampaignConfig,
     ConfigError,
+    EarthModel,
     EmptyLog,
     HeaderMismatch,
+    ItuParams,
     MissingCalibration,
     NoValidSamples,
+    Polarization,
     RadioConfig,
+    SeaState,
     apply_calibration,
     builtin_data_path,
     geolocate,
@@ -289,6 +293,40 @@ class TestCampaignConfig:
     def test_invalid_document(self):
         with pytest.raises(ConfigError):
             CampaignConfig.from_dict({"name": "x"})
+
+    def test_unknown_keys_rejected_with_their_path(self):
+        doc = load_campaign("campaign2").to_dict()
+        doc["sea"]["sigma_h"] = 9.9  # the schema's key is sigma_h_m
+        doc["exclusion_zones"] = [{"kind": "time", "start": 0.0, "end": 1.0, "stop": 2.0}]
+        with pytest.raises(ConfigError, match=r"sea\.sigma_h$"):
+            CampaignConfig.from_dict(doc)
+        del doc["sea"]["sigma_h"]
+        with pytest.raises(ConfigError, match=r"exclusion_zones\[0\]\.stop"):
+            CampaignConfig.from_dict(doc)
+        doc["exclusion_zones"] = []
+        doc["geometry"]["earth"]["radius_m"] = 1.0
+        with pytest.raises(ConfigError, match=r"geometry\.earth\.radius_m"):
+            CampaignConfig.from_dict(doc)
+
+    def test_metadata_is_free_form(self, campaign2):
+        doc = campaign2.to_dict()
+        doc["metadata"] = {"anything": {"nested": [1, 2]}}
+        assert CampaignConfig.from_dict(doc).metadata == doc["metadata"]
+
+    def test_missing_optional_keys_take_the_defaults(self, campaign1):
+        doc = campaign1.to_dict()
+        for key in ("sea", "itu", "polarization", "exclusion_zones",
+                    "log_distance_reference_m", "metadata"):
+            del doc[key]
+        del doc["geometry"]["earth"]
+        for key in ("tx_antenna_gain_dbi", "rx_antenna_gain_dbi", "polarization_loss_db",
+                    "rx_sensitivity_dbm"):
+            del doc["radio"][key]
+        cfg = CampaignConfig.from_dict(doc)
+        assert cfg.sea == SeaState() and cfg.itu == ItuParams() and cfg.earth == EarthModel()
+        assert cfg.radio == RadioConfig(frequency=869.5e6, tx_power=17.0)
+        assert cfg.polarization is Polarization.VERTICAL
+        assert (cfg.exclusion_zones, cfg.log_distance_reference, cfg.metadata) == ((), 100.0, {})
 
     def test_non_finite_sensitivity_rejected(self):
         doc = load_campaign("campaign2").to_dict()

@@ -473,6 +473,13 @@ class TestMaxRange:
         with pytest.raises(NoCoverage):
             max_range("free-space", self.ctx(), self.radio(20.0))
 
+    def test_two_ray_round_up_to_the_horizon(self, campaign1):
+        # the scan and k-section probe the rounding band just inside the
+        # horizon, where the specular point has no valid geometry
+        r = max_range("two-ray-round", campaign1.model_context(), campaign1.radio)
+        assert isinstance(r, float)
+        assert 7900.0 < r < horizon_distance(campaign1.model_context().geometry_at(1.0))
+
     def test_oscillatory_model_budget_respected(self):
         radio = self.radio(130.0)
         r = max_range("two-ray-flat", self.ctx(), radio)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfc, i0e
 
 import oracles
 from sealoss import (
@@ -16,6 +17,7 @@ from sealoss import (
     horizon_distance,
     reflection_geometry,
     roughness_factor,
+    sea,
     shadowing_factor,
     wavelength,
 )
@@ -113,6 +115,30 @@ class TestRoughness:
         assert all(b < a or (a == b == 1.0) for a, b in zip(rho_sigma, rho_sigma[1:]))
         rho_psi = [roughness_factor(p, lam, SeaState(sigma_h=0.3)) for p in (0.001, 0.01, 0.1, 0.5)]
         assert all(b < a for a, b in zip(rho_psi, rho_psi[1:]))
+
+
+class TestSpecialFunctions:
+    """numpy/stdlib i0e and erfc against scipy, which only the tests use."""
+
+    def test_i0e_against_scipy(self):
+        seam = sea._I0E_SERIES_FROM
+        x = np.concatenate([
+            np.linspace(0.0, 1e6, 100_001),
+            np.geomspace(1e-12, 1e6, 10_000),
+            np.linspace(seam - 1.0, seam + 1.0, 2001),
+            [seam, np.nextafter(seam, 0.0), np.nextafter(seam, np.inf)],
+        ])
+        np.testing.assert_allclose(sea._i0e(x), i0e(x), rtol=1e-12, atol=0.0)
+
+    def test_erfc_against_scipy(self):
+        v = np.concatenate([np.geomspace(1e-3, 30.0, 100_000), np.linspace(26.0, 28.0, 2001)])
+        got, want = sea._erfc(v).astype(float), erfc(v)
+        # scipy flushes to 0 from v ~ 26.64, math.erfc from ~27.3; in between
+        # both are subnormal or zero
+        normal = want >= np.finfo(float).tiny
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0.0)
+        assert (np.abs(got[~normal]) <= np.finfo(float).tiny).all()
+        assert sea._erfc(30.0) == erfc(30.0) == 0.0
 
 
 class TestShadowing:
