@@ -46,6 +46,7 @@ from .ingest import (
     ExclusionZone,
     MeasurementRecord,
     ParsedLog,
+    Records,
     apply_calibration,
     builtin_data_path,
     geolocate,

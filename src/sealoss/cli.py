@@ -167,6 +167,7 @@ def cmd_analyze(args) -> CommandResult:
     except (NoValidSamples, DegenerateFit) as exc:
         return CommandResult(4, (), f"no usable samples: {exc}")
 
+    n_excluded = int(records.excluded.sum())
     ctx = cfg.model_context(log_distance=fit)
     models = _parse_models(args.models, DEFAULT_CURVE_MODELS) + ["log-distance"]
     reports = compare_models(metric_samples, models, ctx)
@@ -198,10 +199,10 @@ def cmd_analyze(args) -> CommandResult:
     artifacts.append(samples_path)
 
     predictions_path = out_dir / "predictions.csv"
+    d_min, d_max = metric_samples.distances.min(), metric_samples.distances.max()
     pred_rows = []
     for model_id in models:
-        curve = sweep(model_id, ctx, metric_samples.distances.min(),
-                      metric_samples.distances.max(), 200, spacing="log")
+        curve = sweep(model_id, ctx, d_min, d_max, 200, spacing="log")
         pred_rows.extend(
             (model_id, repr(d), repr(l)) for d, l in zip(curve.distances, curve.losses)
         )
@@ -229,7 +230,7 @@ def cmd_analyze(args) -> CommandResult:
                 "rejected_rows": [
                     {"line": line, "reason": reason} for line, reason, _ in parsed.rejects
                 ],
-                "excluded_records": sum(1 for rec in records if rec.excluded),
+                "excluded_records": n_excluded,
                 "samples_used": len(metric_samples),
                 "binned": bool(args.bins),
                 "unevaluable_models": unevaluable,
@@ -246,7 +247,7 @@ def cmd_analyze(args) -> CommandResult:
         )
     report = (
         f"parsed {len(parsed.records)} records ({len(parsed.rejects)} rejected rows), "
-        f"{sum(1 for rec in records if rec.excluded)} excluded, "
+        f"{n_excluded} excluded, "
         f"{len(metric_samples)} samples\n"
         f"log-distance fit: n = {fit.n:.3f}, L_p0 = {fit.l_p0:.2f} dB at d_0 = {fit.d_0:.0f} m\n"
         + "\n".join(table_lines)

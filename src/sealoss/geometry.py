@@ -141,20 +141,33 @@ class ReflectionGeometry:
             raise ValueError("reflected path shorter than direct path")
 
 
+def haversine_distance(lat_a, lon_a, lat_b, lon_b, radius: float) -> np.ndarray:
+    """Haversine great-circle distances in metres between (lat_a, lon_a) and (lat_b, lon_b).
+
+    Arguments are degrees, numbers or arrays that broadcast together; the
+    result is an array.  The haversine form is used for numerical stability
+    at the short ranges a measurement campaign produces.
+    """
+    phi_a = np.radians(lat_a)
+    phi_b = np.radians(lat_b)
+    dphi = np.radians(np.subtract(lat_b, lat_a))
+    dlam = np.radians(np.subtract(lon_b, lon_a))
+    s_phi = np.sin(dphi / 2.0)
+    s_lam = np.sin(dlam / 2.0)
+    h = s_phi * s_phi + np.cos(phi_a) * np.cos(phi_b) * (s_lam * s_lam)
+    return 2.0 * radius * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
 def great_circle_distance(a: GeoPoint, b: GeoPoint, earth: EarthModel | None = None) -> float:
     """Haversine great-circle distance in metres on the true earth radius.
 
-    The haversine form is used for numerical stability at the short ranges a
-    measurement campaign produces; the effective-radius factor is a refraction
-    construct and deliberately does not enter surface distances.
+    The effective-radius factor is a refraction construct and deliberately
+    does not enter surface distances.
     """
     earth = earth or EarthModel()
-    phi1 = math.radians(a.latitude)
-    phi2 = math.radians(b.latitude)
-    dphi = math.radians(b.latitude - a.latitude)
-    dlam = math.radians(b.longitude - a.longitude)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * earth.true_radius * math.asin(min(1.0, math.sqrt(h)))
+    return haversine_distance(
+        a.latitude, a.longitude, b.latitude, b.longitude, earth.true_radius
+    ).item()
 
 
 def critical_distance(g: LinkGeometry, wavelength: float) -> float:

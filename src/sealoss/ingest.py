@@ -1,8 +1,12 @@
 """Measurement-log ingest: parsing, RSSI calibration, geolocation, link budget.
 
-The pipeline is lossless until the final sample extraction: every parsed
-record flows through each stage exactly once, carrying flags instead of being
-deleted, so exclusions stay auditable.
+The parsed log is a column table, Records: one float64 array per quantity
+and a uint8 bitmask of flags, with one entry per well-formed row.  Each stage
+takes the table and returns a new one in one vectorized pass.  The pipeline
+is lossless until the final sample extraction: every parsed row flows through
+each stage exactly once, carrying flags instead of being deleted, so
+exclusions stay auditable.  Indexing or iterating a Records builds
+MeasurementRecord row views on demand.
 
 External formats:
   measurement log   CSV, header ``timestamp,lat,lon,rssi_dbm`` (extra columns
@@ -18,12 +22,15 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from importlib.resources import files
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     AlreadyCalibrated,
@@ -33,7 +40,7 @@ from .errors import (
     MissingCalibration,
     NoValidSamples,
 )
-from .geometry import MAX_ANTENNA_HEIGHT, EarthModel, GeoPoint, great_circle_distance
+from .geometry import MAX_ANTENNA_HEIGHT, EarthModel, GeoPoint, haversine_distance
 from .metrics import SampleSet
 from .models import ItuParams, ModelContext, RadioConfig
 from .sea import Polarization, SeaState
@@ -46,9 +53,24 @@ CALIBRATION_HEADER = ("reported_rssi_dbm", "correction_db")
 MIN_SAMPLE_DISTANCE = 1.0
 
 
+# Record flags, one bit each, in the order the stages set them.
+FLAG_NAMES = ("calibration-clamped", "below-minimum", "excluded-time-zone", "excluded-distance-zone")
+CLAMPED, BELOW_MINIMUM, TIME_ZONE, DISTANCE_ZONE = (np.uint8(1 << bit) for bit in range(4))
+EXCLUDING = BELOW_MINIMUM | TIME_ZONE | DISTANCE_ZONE
+_ZONE_FLAG = {"time": TIME_ZONE, "distance": DISTANCE_ZONE}
+# The flag names of every bitmask value.
+_FLAG_TUPLES = tuple(
+    tuple(name for bit, name in enumerate(FLAG_NAMES) if mask >> bit & 1)
+    for mask in range(1 << len(FLAG_NAMES))
+)
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One received frame: time, position, RSSI and the derived quantities."""
+    """One received frame: time, position, RSSI and the derived quantities.
+
+    A row view of Records, built when a Records is indexed or iterated.
+    """
 
     timestamp: float
     position: GeoPoint
@@ -64,11 +86,75 @@ class MeasurementRecord:
             raise ValueError("path_loss requires calibrated_rssi and distance")
 
 
+@dataclass(frozen=True, eq=False)
+class Records:
+    """The well-formed rows of a log as columns, one entry per row.
+
+    calibrated_rssi, distance and path_loss stay None until the stage that
+    computes them has run; flags is a bitmask of the FLAG_NAMES bits.
+    Records compares equal to any sequence of the same row views.
+    """
+
+    timestamp: np.ndarray
+    latitude: np.ndarray
+    longitude: np.ndarray
+    raw_rssi: np.ndarray
+    flags: np.ndarray
+    calibrated_rssi: np.ndarray | None = None
+    distance: np.ndarray | None = None
+    path_loss: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.path_loss is not None and (self.calibrated_rssi is None or self.distance is None):
+            raise ValueError("path_loss requires calibrated_rssi and distance")
+        if any(c is not None and len(c) != len(self.timestamp) for c in self._columns()):
+            raise ValueError("every column needs one entry per row")
+
+    def _columns(self) -> tuple:
+        return (self.timestamp, self.latitude, self.longitude, self.raw_rssi, self.flags,
+                self.calibrated_rssi, self.distance, self.path_loss)
+
+    @property
+    def excluded(self) -> np.ndarray:
+        """Per row, whether a flag excludes it from the samples."""
+        return (self.flags & EXCLUDING) != 0
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, i) -> MeasurementRecord:
+        i = range(len(self))[operator.index(i)]
+        return _row_view(*(None if c is None else c[i].item() for c in self._columns()))
+
+    def __iter__(self):
+        n = len(self)
+        columns = [[None] * n if c is None else c.tolist() for c in self._columns()]
+        return (_row_view(*row) for row in zip(*columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Records, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _row_view(timestamp, lat, lon, raw, flags, calibrated, distance, path_loss) -> MeasurementRecord:
+    return MeasurementRecord(
+        timestamp=timestamp,
+        position=GeoPoint(lat, lon),
+        raw_rssi=raw,
+        calibrated_rssi=calibrated,
+        distance=distance,
+        path_loss=path_loss,
+        excluded=bool(flags & EXCLUDING),
+        flags=_FLAG_TUPLES[flags],
+    )
+
+
 @dataclass(frozen=True)
 class ParsedLog:
-    """Well-formed records plus the rejects (line number, reason, raw line)."""
+    """Well-formed rows as Records plus the rejects (line number, reason, raw line)."""
 
-    records: tuple
+    records: Records
     rejects: tuple = ()
 
 
@@ -85,6 +171,8 @@ class CalibrationTable:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("calibration table must not be empty")
+        if any(not math.isfinite(lv) for lv, _ in self.entries):
+            raise ValueError("reported RSSI levels must be finite")
         levels = [lv for lv, _ in self.entries]
         for a, b in zip(levels, levels[1:]):
             if not b > a:
@@ -98,6 +186,7 @@ class CalibrationTable:
 
     @classmethod
     def from_csv(cls, source) -> "CalibrationTable":
+        """The table a CSV describes; raises ConfigError for one that is not a valid table."""
         with _open_text(source) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -111,23 +200,35 @@ class CalibrationTable:
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"invalid calibration table: {exc}") from exc
         entries.sort(key=lambda e: e[0])
-        return cls(entries=tuple(entries))
+        try:
+            return cls(entries=tuple(entries))
+        except ValueError as exc:
+            raise ConfigError(f"invalid calibration table: {exc}") from exc
 
     def is_identity(self) -> bool:
         return all(c == 0.0 for _, c in self.entries)
 
+    def corrections(self, reported_rssi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interpolated corrections at each level and where it was clamped to a table edge.
+
+        Between entries lv0 < x <= lv1 the correction is c0 + t (c1 - c0) with
+        t = (x - lv0) / (lv1 - lv0); at or beyond an edge it is that edge's
+        correction, flagged clamped when strictly beyond.
+        """
+        levels, corr = np.array(self.entries, dtype=float).T
+        x = np.asarray(reported_rssi, dtype=float)
+        i = np.clip(np.searchsorted(levels, x, side="left") - 1, 0, max(len(levels) - 2, 0))
+        j = np.minimum(i + 1, len(levels) - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (x - levels[i]) / (levels[j] - levels[i])
+            inner = corr[i] + t * (corr[j] - corr[i])
+        c = np.where(x <= levels[0], corr[0], np.where(x >= levels[-1], corr[-1], inner))
+        return c, (x < levels[0]) | (x > levels[-1])
+
     def correction_at(self, reported_rssi: float) -> tuple[float, bool]:
         """Interpolated correction and whether the level was clamped to the table edge."""
-        levels = [lv for lv, _ in self.entries]
-        if reported_rssi <= levels[0]:
-            return self.entries[0][1], reported_rssi < levels[0]
-        if reported_rssi >= levels[-1]:
-            return self.entries[-1][1], reported_rssi > levels[-1]
-        for (lv0, c0), (lv1, c1) in zip(self.entries, self.entries[1:]):
-            if lv0 <= reported_rssi <= lv1:
-                t = (reported_rssi - lv0) / (lv1 - lv0)
-                return c0 + t * (c1 - c0), False
-        raise AssertionError("unreachable: sorted table covers the interval")
+        c, clamped = self.corrections(np.array([reported_rssi], dtype=float))
+        return c.item(), clamped.item()
 
 
 @dataclass(frozen=True)
@@ -144,10 +245,12 @@ class ExclusionZone:
         if not self.end > self.start:
             raise ValueError("zone end must exceed start")
 
-    def contains(self, record: MeasurementRecord) -> bool:
-        if self.kind == "time":
-            return self.start <= record.timestamp <= self.end
-        return record.distance is not None and self.start <= record.distance <= self.end
+    def contains(self, records: Records) -> np.ndarray:
+        """Per row, whether it lies in the zone; no row lies in a distance zone before geolocate."""
+        values = records.timestamp if self.kind == "time" else records.distance
+        if values is None:
+            return np.zeros(len(records), dtype=bool)
+        return (self.start <= values) & (values <= self.end)
 
 
 @dataclass(frozen=True)
@@ -372,9 +475,9 @@ def parse_log(source) -> ParsedLog:
         got = tuple(h.strip().lower() for h in header[: len(LOG_HEADER)])
         if got != LOG_HEADER:
             raise HeaderMismatch(f"expected {','.join(LOG_HEADER)}, got {','.join(got)}")
-        records, rejects = [], []
+        timestamps, latitudes, longitudes, rssis, rejects = [], [], [], [], []
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not any(map(str.strip, row)):
                 continue
             raw = ",".join(row)
             if len(row) < len(LOG_HEADER):
@@ -399,84 +502,77 @@ def parse_log(source) -> ParsedLog:
             if not math.isfinite(rssi):
                 rejects.append((line_no, "non-finite rssi", raw))
                 continue
-            records.append(
-                MeasurementRecord(timestamp=ts, position=GeoPoint(lat, lon), raw_rssi=rssi)
-            )
-    if not records:
+            timestamps.append(ts)
+            latitudes.append(lat)
+            longitudes.append(lon)
+            rssis.append(rssi)
+    if not timestamps:
         warnings.warn("measurement log contains zero well-formed rows", stacklevel=2)
-    return ParsedLog(records=tuple(records), rejects=tuple(rejects))
+    columns = (timestamps, latitudes, longitudes, rssis)
+    records = Records(*(np.array(c, dtype=float) for c in columns),
+                      flags=np.zeros(len(timestamps), dtype=np.uint8))
+    return ParsedLog(records=records, rejects=tuple(rejects))
 
 
-def apply_calibration(records, table: CalibrationTable):
+def apply_calibration(records: Records, table: CalibrationTable) -> Records:
     """Correct raw RSSI values through the step-attenuator error table.
 
     Clamped extrapolation beyond the table's range is flagged per record.
     Re-applying a non-identity table to already-calibrated records raises
     AlreadyCalibrated; corrections always start from the raw value.
     """
-    out = []
-    identity = table.is_identity()
-    for rec in records:
-        if rec.calibrated_rssi is not None and not identity:
-            raise AlreadyCalibrated("records already carry calibrated RSSI")
-        correction, clamped = table.correction_at(rec.raw_rssi)
-        flags = rec.flags
-        if clamped and "calibration-clamped" not in flags:
-            flags = flags + ("calibration-clamped",)
-        out.append(replace(rec, calibrated_rssi=rec.raw_rssi + correction, flags=flags))
-    return out
+    if records.calibrated_rssi is not None and not table.is_identity():
+        raise AlreadyCalibrated("records already carry calibrated RSSI")
+    correction, clamped = table.corrections(records.raw_rssi)
+    return replace(
+        records,
+        calibrated_rssi=records.raw_rssi + correction,
+        flags=records.flags | np.where(clamped, CLAMPED, 0),
+    )
 
 
-def geolocate(records, cfg: CampaignConfig):
+def geolocate(records: Records, cfg: CampaignConfig) -> Records:
     """Attach great-circle distances from the BS and apply exclusion zones.
 
     Records inside a configured time or distance zone, or closer than the
-    minimum usable distance, are flagged excluded but retained.
+    minimum usable distance, are flagged excluded but retained.  A record in
+    several zones carries the flag of the first in config order.
     """
-    out = []
-    for rec in records:
-        d = great_circle_distance(rec.position, cfg.bs_position, cfg.earth)
-        rec = replace(rec, distance=d)
-        flags = rec.flags
-        excluded = rec.excluded
-        if d < MIN_SAMPLE_DISTANCE:
-            flags = flags + ("below-minimum",)
-            excluded = True
-        for zone in cfg.exclusion_zones:
-            if zone.contains(rec):
-                flags = flags + (f"excluded-{zone.kind}-zone",)
-                excluded = True
-                break
-        out.append(replace(rec, flags=flags, excluded=excluded))
-    return out
+    bs = cfg.bs_position
+    distance = haversine_distance(
+        records.latitude, records.longitude, bs.latitude, bs.longitude, cfg.earth.true_radius
+    )
+    located = replace(records, distance=distance)
+    flags = records.flags | np.where(distance < MIN_SAMPLE_DISTANCE, BELOW_MINIMUM, 0)
+    unzoned = np.ones(len(records), dtype=bool)
+    for zone in cfg.exclusion_zones:
+        hit = unzoned & zone.contains(located)
+        flags |= np.where(hit, _ZONE_FLAG[zone.kind], 0)
+        unzoned &= ~hit
+    return replace(located, flags=flags)
 
 
-def rssi_to_pathloss(records, radio: RadioConfig):
+def rssi_to_pathloss(records: Records, radio: RadioConfig) -> Records:
     """Convert calibrated RSSI to path loss through the link budget.
 
     path_loss = tx_power + tx_gain + (rx_gain - polarization_loss) - rssi.
-    Raises MissingCalibration on any uncalibrated record.
+    Raises MissingCalibration on uncalibrated records.
     """
+    if records.calibrated_rssi is None:
+        raise MissingCalibration("apply_calibration must run before the link budget")
     gains = radio.tx_power + radio.tx_antenna_gain + radio.rx_antenna_gain - radio.polarization_loss
-    out = []
-    for rec in records:
-        if rec.calibrated_rssi is None:
-            raise MissingCalibration("apply_calibration must run before the link budget")
-        out.append(replace(rec, path_loss=gains - rec.calibrated_rssi))
-    return out
+    return replace(records, path_loss=gains - records.calibrated_rssi)
 
 
-def to_sample_set(records, source_id: str = "measurements") -> SampleSet:
+def to_sample_set(records: Records, source_id: str = "measurements") -> SampleSet:
     """Extract (distance, path loss) pairs, dropping excluded records here only.
 
     Output is sorted by distance.  Raises NoValidSamples when nothing remains.
     """
-    pairs = [
-        (rec.distance, rec.path_loss)
-        for rec in records
-        if not rec.excluded and rec.distance is not None and rec.path_loss is not None
-    ]
-    if not pairs:
+    kept = ~records.excluded
+    if records.distance is None or records.path_loss is None or not kept.any():
         raise NoValidSamples("no usable samples after exclusions")
-    pairs.sort(key=lambda p: p[0])
-    return SampleSet(pairs=tuple(pairs), source_id=source_id)
+    distance, path_loss = records.distance[kept], records.path_loss[kept]
+    order = np.argsort(distance, kind="stable")
+    pairs = tuple(zip(distance[order].tolist(), path_loss[order].tolist()))
+    return SampleSet(pairs=pairs, source_id=source_id)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,15 +14,17 @@ from .models import LogDistanceParams, ModelContext, losses
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Measured (distance, loss) pairs from one source."""
+    """Measured (distance, loss) pairs from one source.
+
+    distances and losses are read-only arrays built once from the pairs.
+    """
 
     pairs: tuple
     source_id: str = "samples"
 
     def __post_init__(self):
-        for d, _ in self.pairs:
-            if not d > 0:
-                raise ValueError("sample distances must be positive")
+        if not (self.distances > 0).all():
+            raise ValueError("sample distances must be positive")
 
     @classmethod
     def from_arrays(cls, distances, losses, source_id: str = "samples") -> "SampleSet":
@@ -29,16 +32,21 @@ class SampleSet:
             raise LengthMismatch("distances and losses must have equal length")
         return cls(pairs=tuple(zip(map(float, distances), map(float, losses))), source_id=source_id)
 
-    @property
+    @cached_property
     def distances(self) -> np.ndarray:
-        return np.array([d for d, _ in self.pairs], dtype=float)
+        return _read_only(np.array([d for d, _ in self.pairs], dtype=float))
 
-    @property
+    @cached_property
     def losses(self) -> np.ndarray:
-        return np.array([l for _, l in self.pairs], dtype=float)
+        return _read_only(np.array([l for _, l in self.pairs], dtype=float))
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

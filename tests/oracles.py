@@ -8,7 +8,10 @@ evaluation instead of special functions.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -198,3 +201,100 @@ def mae_two_pass(predicted, measured) -> float:
     for p, m in zip(predicted, measured):
         total += abs(p - m)
     return total / len(predicted)
+
+
+# --- per-row measurement ingest ------------------------------------------------
+
+def _reference_timestamp(text: str) -> float:
+    text = text.strip()
+    try:
+        seconds = float(text)
+    except ValueError:
+        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.timestamp()
+    if not math.isfinite(seconds):
+        raise ValueError(text)
+    return seconds
+
+
+def _reference_row(row):
+    """(timestamp, lat, lon, rssi) of a log row, or the reason it is rejected."""
+    if len(row) < 4:
+        return "wrong column count"
+    try:
+        ts = _reference_timestamp(row[0])
+    except ValueError:
+        return "bad timestamp"
+    try:
+        lat, lon, rssi = float(row[1]), float(row[2]), float(row[3])
+    except ValueError:
+        return "non-numeric field"
+    if not -90.0 <= lat <= 90.0:
+        return "latitude out of range"
+    if not -180.0 <= lon <= 180.0:
+        return "longitude out of range"
+    if not math.isfinite(rssi):
+        return "non-finite rssi"
+    return ts, lat, lon, rssi
+
+
+def _reference_correction(entries, x: float):
+    """Interval-loop calibration: (correction, clamped) with edge clamps."""
+    if x <= entries[0][0]:
+        return entries[0][1], x < entries[0][0]
+    if x >= entries[-1][0]:
+        return entries[-1][1], x > entries[-1][0]
+    for (lv0, c0), (lv1, c1) in zip(entries, entries[1:]):
+        if lv0 <= x <= lv1:
+            t = (x - lv0) / (lv1 - lv0)
+            return c0 + t * (c1 - c0), False
+    raise AssertionError("sorted table covers the interval")
+
+
+def _reference_haversine(lat, lon, bs_lat, bs_lon, radius):
+    phi1, phi2 = math.radians(lat), math.radians(bs_lat)
+    dphi, dlam = math.radians(bs_lat - lat), math.radians(bs_lon - lon)
+    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * radius * math.asin(min(1.0, math.sqrt(h)))
+
+
+def reference_ingest(text: str, entries, bs, radius: float, zones, gains: float,
+                     min_distance: float = 1.0):
+    """Parse, calibrate, geolocate and budget a log one row at a time.
+
+    entries are the calibration table's (level, correction) pairs in
+    ascending order, bs the base station's (lat, lon), zones a sequence of
+    (kind, start, end) and gains the link budget's tx power plus gains minus
+    polarization loss.  Returns one dict per well-formed row and the rejects
+    as (line number, reason).
+    """
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    rows, rejects = [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        parsed = _reference_row(row)
+        if isinstance(parsed, str):
+            rejects.append((line_no, parsed))
+            continue
+        ts, lat, lon, raw = parsed
+        correction, clamped = _reference_correction(entries, raw)
+        flags = ("calibration-clamped",) if clamped else ()
+        d = _reference_haversine(lat, lon, bs[0], bs[1], radius)
+        excluded = False
+        if d < min_distance:
+            flags += ("below-minimum",)
+            excluded = True
+        for kind, start, end in zones:
+            if start <= (ts if kind == "time" else d) <= end:
+                flags += (f"excluded-{kind}-zone",)
+                excluded = True
+                break
+        calibrated = raw + correction
+        rows.append({"timestamp": ts, "latitude": lat, "longitude": lon, "raw_rssi": raw,
+                     "calibrated_rssi": calibrated, "distance": d,
+                     "path_loss": gains - calibrated, "excluded": excluded, "flags": flags})
+    return rows, rejects

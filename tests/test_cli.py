@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 import sealoss
 from sealoss import builtin_data_path, load_campaign
@@ -191,6 +192,23 @@ class TestAnalyze:
         )
         assert code == 4
         assert "no usable samples" in err
+
+    @pytest.mark.parametrize("body", [
+        "",                       # header only
+        "-120,0.5\n-120,0.7\n",  # repeated level
+        "-120,nan\n-100,0.0\n",  # non-finite correction
+        "-inf,1.0\n-100,0.0\n",  # infinite level: every interior correction was nan
+    ], ids=["header-only", "repeated-level", "nan-correction", "infinite-level"])
+    def test_invalid_calibration_table_exit_2(self, tmp_path, capsys, body):
+        cal = tmp_path / "cal.csv"
+        cal.write_text("reported_rssi_dbm,correction_db\n" + body)
+        code, _, err = run(
+            ["analyze", "--config", "campaign2", "--log", C2_LOG, "--cal", str(cal),
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("config error: invalid calibration table")
 
     def test_bad_header_exit_2(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"

@@ -1,8 +1,10 @@
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
+import oracles
 from sealoss import (
     AlreadyCalibrated,
     CalibrationTable,
@@ -10,12 +12,14 @@ from sealoss import (
     ConfigError,
     EarthModel,
     EmptyLog,
+    ExclusionZone,
     HeaderMismatch,
     ItuParams,
     MissingCalibration,
     NoValidSamples,
     Polarization,
     RadioConfig,
+    Records,
     SeaState,
     apply_calibration,
     builtin_data_path,
@@ -149,6 +153,21 @@ class TestCalibration:
         with pytest.raises(ValueError):
             CalibrationTable(entries=())
 
+    def test_non_finite_level_rejected(self):
+        # -inf passed validation and turned every interior correction into nan
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationTable(entries=((-math.inf, 1.0), (-100.0, 0.0)))
+        with pytest.raises(ConfigError):
+            CalibrationTable.from_csv(io.StringIO(
+                "reported_rssi_dbm,correction_db\n-inf,1.0\n-100,0.0\n"
+            ))
+
+    def test_correction_at_matches_the_array_form(self):
+        table = CalibrationTable.from_csv(builtin_data_path("calibration_example.csv"))
+        levels = [-150.0, -140.0, -125.0, -120.0, -99.9, -40.0, -30.0]
+        corrections, clamped = table.corrections(levels)
+        assert [table.correction_at(x) for x in levels] == list(zip(corrections, clamped))
+
 
 class TestGeolocate:
     def test_distance_and_below_minimum_flag(self, campaign2):
@@ -264,6 +283,135 @@ class TestSampleExtraction:
         assert len(records) == n
         records = rssi_to_pathloss(records, campaign2.radio)
         assert len(records) == n
+
+
+class TestRecords:
+    def test_columns_fill_in_stage_by_stage(self, campaign2):
+        records = make_records(n=3)
+        assert isinstance(records, Records) and len(records) == 3
+        assert records.calibrated_rssi is None and records.distance is None
+        assert records.path_loss is None and not records.flags.any()
+        located = geolocate(apply_calibration(records, CalibrationTable.identity()), campaign2)
+        assert located.distance.shape == (3,) and located.path_loss is None
+
+    def test_row_views(self):
+        records = make_records(n=3, rssi=-101.5)
+        assert records[-1] == records[2] == list(records)[2]
+        assert records[0].raw_rssi == -101.5 and records[0].flags == ()
+        assert records == tuple(records) and records != ()
+        with pytest.raises(IndexError):
+            records[3]
+
+
+T0 = 1597482000.0  # 2020-08-15T09:00:00Z
+# Distance zones overlap on 2500-3000 m; the time zone overlaps both.
+OVERLAPPING_ZONES = (
+    ExclusionZone(kind="distance", start=2000.0, end=3000.0),
+    ExclusionZone(kind="time", start=T0 + 100.0, end=T0 + 200.0),
+    ExclusionZone(kind="distance", start=2500.0, end=4000.0),
+)
+
+
+def differential_log(cfg) -> str:
+    """A log with every reject reason, both timestamp forms, rows below 1 m,
+    rows in one or several zones and RSSI at, on and beyond the table knots."""
+    bs = cfg.bs_position
+    r_e = cfg.earth.true_radius
+
+    def row(ts, d, rssi, dlon=0.0):
+        lat = bs.latitude - math.degrees(d / r_e)
+        return f"{ts},{lat:.10f},{bs.longitude + dlon:.10f},{rssi}\n"
+
+    rows = [
+        row("2020-08-15T09:00:00Z", 500.0, -150.0),           # below the table
+        row("1597482010", 1500.0, -30.0),                     # above the table
+        row("2020-08-15T11:00:20+02:00", 800.0, -120.0),      # interior knot
+        f"1597482030,{bs.latitude},{bs.longitude},-100.0\n",  # at the BS, interior knot
+        row("1597482040.5", 0.5, -95.5),                      # below 1 m
+        row("2020-08-15T09:01:40Z", 1000.0, -70.0),           # time-zone start
+        row("1597482150", 2600.0, -88.8),                     # time + both distance zones
+        row("1597482160", 3500.0, -91.25),                    # time + second distance zone
+        row("1597482300", 2600.0, -77.7),                     # both distance zones
+        row("1597482310", 3500.0, -66.6),                     # second distance zone
+        row("1597482120", 0.25, -110.0),                      # below 1 m in the time zone
+        row("1597482400", 5000.0, -140.0),                    # bottom edge
+        row("1597482410", 6000.0, -40.0, dlon=0.01),          # top edge, off the meridian
+        "2020-08-15T09:07:00Z,55.7\n",
+        "yesterday,55.7,12.9,-100\n",
+        "nan,55.7,12.9,-100\n",
+        "2020-08-15T09:07:10Z,55.7,abc,-100\n",
+        "2020-08-15T09:07:20Z,91.0,12.9,-100\n",
+        "2020-08-15T09:07:30Z,55.7,-181.0,-100\n",
+        "2020-08-15T09:07:40Z,55.7,12.9,inf\n",
+        "\n",
+        ",,,\n",
+        row("1597482450", 7000.0, -123.456).rstrip("\n") + ",snr=7\n",
+    ]
+    return HEADER + "".join(rows)
+
+
+def within_ulps(a: float, b: float, n: int) -> bool:
+    return abs(a - b) <= n * math.ulp(max(abs(a), abs(b)))
+
+
+class TestAgainstPerRowReference:
+    TABLES = {
+        "example": CalibrationTable.from_csv(builtin_data_path("calibration_example.csv")),
+        "one-entry": CalibrationTable(entries=((-100.0, 0.5),)),
+        "identity": CalibrationTable.identity(),
+    }
+
+    @pytest.fixture
+    def cfg(self, campaign2):
+        return replace(campaign2, exclusion_zones=OVERLAPPING_ZONES)
+
+    @pytest.mark.parametrize("table_name", sorted(TABLES))
+    def test_stages_match_the_reference(self, cfg, table_name):
+        table = self.TABLES[table_name]
+        text = differential_log(cfg)
+        radio = cfg.radio
+        gains = radio.tx_power + radio.tx_antenna_gain + radio.rx_antenna_gain - radio.polarization_loss
+        zones = [(z.kind, z.start, z.end) for z in cfg.exclusion_zones]
+        bs = (cfg.bs_position.latitude, cfg.bs_position.longitude)
+        want, want_rejects = oracles.reference_ingest(
+            text, table.entries, bs, cfg.earth.true_radius, zones, gains)
+
+        parsed = parse_log(io.StringIO(text))
+        out = rssi_to_pathloss(geolocate(apply_calibration(parsed.records, table), cfg), radio)
+
+        assert [(line, reason) for line, reason, _ in parsed.rejects] == want_rejects
+        assert len(want_rejects) == 7 and len(out) == len(want) == 14
+        for got, ref in zip(out, want):
+            assert got.flags == ref["flags"] and got.excluded == ref["excluded"]
+            assert (got.timestamp, got.position.latitude, got.position.longitude, got.raw_rssi) == (
+                ref["timestamp"], ref["latitude"], ref["longitude"], ref["raw_rssi"])
+            assert got.calibrated_rssi == ref["calibrated_rssi"]
+            assert got.path_loss == ref["path_loss"]
+            assert within_ulps(got.distance, ref["distance"], 2)
+
+        kept = sorted(((r["distance"], r["path_loss"]) for r in want if not r["excluded"]),
+                      key=lambda p: p[0])
+        pairs = to_sample_set(out).pairs
+        assert [l for _, l in pairs] == [l for _, l in kept]
+        assert all(within_ulps(a, b, 2) for (a, _), (b, _) in zip(pairs, kept))
+
+    def test_log_covers_every_flag_and_zone_precedence(self, cfg):
+        table = self.TABLES["example"]
+        records = parse_log(io.StringIO(differential_log(cfg))).records
+        out = geolocate(apply_calibration(records, table), cfg)
+        flags = [r.flags for r in out]
+        assert flags[0] == flags[1] == ("calibration-clamped",)
+        assert flags[6] == ("excluded-distance-zone",)  # first zone in config order wins
+        assert flags[7] == ("excluded-time-zone",)
+        assert flags[10] == ("below-minimum", "excluded-time-zone")
+        assert flags[11] == flags[12] == ()
+
+    def test_geolocate_is_idempotent(self, cfg):
+        records = parse_log(io.StringIO(differential_log(cfg))).records
+        once = geolocate(records, cfg)
+        twice = geolocate(once, cfg)
+        assert [r.flags for r in twice] == [r.flags for r in once]
+        assert twice[3].flags == ("below-minimum",)
 
 
 class TestCampaignConfig:
