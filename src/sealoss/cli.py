@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -51,22 +50,29 @@ class CommandResult:
     report: str
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Stream the file through write(text stream) into a temp file, then rename it."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        write(fh)
     os.replace(tmp, path)
 
 
 def _write_json(path: Path, doc) -> None:
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    def write(fh):
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+    _atomic_write(path, write)
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _atomic_write(path, write)
 
 
 def _resolve_config(args) -> CampaignConfig:

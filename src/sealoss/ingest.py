@@ -8,9 +8,15 @@ each stage exactly once, carrying flags instead of being deleted, so
 exclusions stay auditable.  Indexing or iterating a Records builds
 MeasurementRecord row views on demand.
 
+parse_log reads the log's bytes once.  A bulk numpy pass converts the lines
+of the common forms (plain decimal numbers, ISO timestamps with Z or an
+offset), bit for bit as float() and datetime.fromisoformat() would; every
+other row goes through _parse_row, which alone defines the reject reasons.
+
 External formats:
-  measurement log   CSV, header ``timestamp,lat,lon,rssi_dbm`` (extra columns
-                    ignored), timestamps ISO-8601 UTC or epoch seconds
+  measurement log   UTF-8 CSV, header ``timestamp,lat,lon,rssi_dbm`` (extra
+                    columns ignored), timestamps ISO-8601 UTC or epoch
+                    seconds; a row that is not valid UTF-8 is rejected
   calibration table CSV, header ``reported_rssi_dbm,correction_db``
   campaign config   one JSON document (radio, BS position, heights, sea state,
                     exclusion zones); campaign1.json / campaign2.json ship
@@ -20,6 +26,8 @@ External formats:
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import math
 import operator
@@ -31,6 +39,7 @@ from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AlreadyCalibrated,
@@ -461,57 +470,249 @@ def _parse_timestamp(text: str) -> float:
 
 
 def parse_log(source) -> ParsedLog:
-    """Parse a measurement log stream into records plus a rejects list.
+    """Parse a measurement log into records plus a rejects list.
 
-    Every malformed row lands in the rejects with its line number and reason;
-    nothing is silently dropped.  Raises EmptyLog for a file without a header
-    and HeaderMismatch when the leading columns are not the expected ones.
+    source is a path or an open stream.  Every malformed row lands in the
+    rejects with its line number and reason; nothing is silently dropped.  A
+    row that is not valid UTF-8 is rejected as ``undecodable row``.  Raises
+    EmptyLog for a file without a header and HeaderMismatch when the leading
+    columns are not the expected ones or the header is not valid UTF-8.
     """
-    with _open_text(source) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or all(not c.strip() for c in header):
-            raise EmptyLog("measurement log has no header line")
-        got = tuple(h.strip().lower() for h in header[: len(LOG_HEADER)])
-        if got != LOG_HEADER:
-            raise HeaderMismatch(f"expected {','.join(LOG_HEADER)}, got {','.join(got)}")
-        timestamps, latitudes, longitudes, rssis, rejects = [], [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not any(map(str.strip, row)):
-                continue
-            raw = ",".join(row)
-            if len(row) < len(LOG_HEADER):
-                rejects.append((line_no, "wrong column count", raw))
-                continue
-            try:
-                ts = _parse_timestamp(row[0])
-            except ValueError:
-                rejects.append((line_no, "bad timestamp", raw))
-                continue
-            try:
-                lat, lon, rssi = float(row[1]), float(row[2]), float(row[3])
-            except ValueError:
-                rejects.append((line_no, "non-numeric field", raw))
-                continue
-            if not -90.0 <= lat <= 90.0:
-                rejects.append((line_no, "latitude out of range", raw))
-                continue
-            if not -180.0 <= lon <= 180.0:
-                rejects.append((line_no, "longitude out of range", raw))
-                continue
-            if not math.isfinite(rssi):
-                rejects.append((line_no, "non-finite rssi", raw))
-                continue
-            timestamps.append(ts)
-            latitudes.append(lat)
-            longitudes.append(lon)
-            rssis.append(rssi)
-    if not timestamps:
+    data = _log_bytes(source)
+    if b'"' in data or data.count(b"\r") != data.count(b"\r\n"):
+        # With quoted fields or bare \r breaks, csv rows are not the \n lines.
+        rows = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
+        _check_header(next(rows, None))
+        _, values, rejects = _parse_rows(enumerate(rows, start=2))
+        columns = _columns(values)
+    else:
+        columns, rejects = _parse_lines(data)
+    if not len(columns[0]):
         warnings.warn("measurement log contains zero well-formed rows", stacklevel=2)
-    columns = (timestamps, latitudes, longitudes, rssis)
-    records = Records(*(np.array(c, dtype=float) for c in columns),
-                      flags=np.zeros(len(timestamps), dtype=np.uint8))
+    records = Records(*columns, flags=np.zeros(len(columns[0]), dtype=np.uint8))
     return ParsedLog(records=records, rejects=tuple(rejects))
+
+
+def _log_bytes(source) -> bytes:
+    """The bytes of a log path or stream; text read from a stream is encoded as UTF-8."""
+    if not hasattr(source, "read"):
+        return Path(source).read_bytes()
+    data = source.read()
+    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+
+
+def _columns(values: list) -> list:
+    """The timestamp, lat, lon and rssi columns of (timestamp, lat, lon, rssi) rows."""
+    return [np.array(c, dtype=float) for c in zip(*values)] or [np.zeros(0) for _ in LOG_HEADER]
+
+
+def _check_header(header) -> None:
+    """Raise unless header, the log's first csv row, starts with LOG_HEADER."""
+    if header is None or all(not c.strip() for c in header):
+        raise EmptyLog("measurement log has no header line")
+    if not _decodable(",".join(header)):
+        raise HeaderMismatch(f"header is not valid UTF-8: {_raw_text(header)}")
+    got = tuple(h.strip().lower() for h in header[: len(LOG_HEADER)])
+    if got != LOG_HEADER:
+        raise HeaderMismatch(f"expected {','.join(LOG_HEADER)}, got {','.join(got)}")
+
+
+def _decodable(text: str) -> bool:
+    """Whether text, decoded with surrogateescape, came from valid UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _raw_text(row: list) -> str:
+    """A csv row as the text of its line, with undecodable bytes as \\x escapes."""
+    return ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
+def _parse_row(row: list):
+    """A non-blank csv row's (timestamp, lat, lon, rssi), or the reason it is rejected."""
+    if not _decodable(",".join(row)):
+        return "undecodable row"
+    if len(row) < len(LOG_HEADER):
+        return "wrong column count"
+    try:
+        ts = _parse_timestamp(row[0])
+    except ValueError:
+        return "bad timestamp"
+    try:
+        lat, lon, rssi = float(row[1]), float(row[2]), float(row[3])
+    except ValueError:
+        return "non-numeric field"
+    if not -90.0 <= lat <= 90.0:
+        return "latitude out of range"
+    if not -180.0 <= lon <= 180.0:
+        return "longitude out of range"
+    if not math.isfinite(rssi):
+        return "non-finite rssi"
+    return ts, lat, lon, rssi
+
+
+def _parse_rows(numbered_rows):
+    """Parse (line number, csv row) pairs one at a time, skipping blank rows.
+
+    Returns the accepted rows' line numbers and values and the rejects.
+    """
+    lines, values, rejects = [], [], []
+    for line_no, row in numbered_rows:
+        if not any(map(str.strip, row)):
+            continue
+        parsed = _parse_row(row)
+        if isinstance(parsed, str):
+            rejects.append((line_no, parsed, _raw_text(row)))
+        else:
+            lines.append(line_no)
+            values.append(parsed)
+    return lines, values, rejects
+
+
+# The bulk pass.  It reads a log whose csv rows are its \n lines in chunks of
+# whole lines and proves, with numpy, the lines that have exactly four fields:
+# a timestamp of the form YYYY-MM-DDTHH:MM:SS plus Z or +-HH:MM, or a number,
+# then three numbers, each -?d+(.d+)? with at most 15 digits, and a latitude
+# and longitude in range.  A number is M / 10**k for its digits M and its k
+# decimals; M < 10**15 and 10**k are exact doubles, so the one rounding of the
+# division gives float()'s bits.  Every other line goes to _parse_row.  Fields
+# are read into uint8 matrices with one row per character position, so the
+# temporaries are bounded by the chunk size.
+_CHUNK_BYTES = 1 << 17
+_NUMBER_WIDTH = 17  # '-', 15 digits and '.'
+_MAX_DIGITS = 15
+_ISO_WIDTH = 25     # YYYY-MM-DDTHH:MM:SS+HH:MM
+_PAD = _ISO_WIDTH   # zero bytes around a chunk, so every field's window lies in it
+# How far from the right end each position of a right-aligned number is.
+_FROM_RIGHT = np.arange(_NUMBER_WIDTH, 0, -1, dtype=np.uint8)[:, None]
+_POW10 = 10.0 ** np.arange(_NUMBER_WIDTH)
+# The positions of the digits of each part of an ISO timestamp: year, month,
+# day, hour, minute, second, offset hours, offset minutes.
+_ISO_PARTS = ((0, 1, 2, 3), (5, 6), (8, 9), (11, 12), (14, 15), (17, 18), (20, 21), (23, 24))
+_ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_ISO_SEPARATORS = ((4, ord("-")), (7, ord("-")), (10, ord("T")), (13, ord(":")), (16, ord(":")))
+
+
+def _parse_lines(data: bytes) -> tuple:
+    """Columns and rejects of a log whose csv rows are its newline-ended lines."""
+    pos = data.find(b"\n") + 1 or len(data)
+    _check_header(next(csv.reader([data[:pos].decode("utf-8", "surrogateescape")]), None))
+    buf = np.frombuffer(data, dtype=np.uint8)
+    line_no = 2
+    proven, columns, deferred, deferred_text = [], [], [], []
+    while pos < len(data):
+        stop = data.rfind(b"\n", pos, pos + _CHUNK_BYTES) + 1 or data.find(b"\n", pos) + 1 or len(data)
+        chunk = np.zeros(stop - pos + 2 * _PAD, dtype=np.uint8)
+        chunk[_PAD:-_PAD] = buf[pos:stop]
+        starts, ends = _line_bounds(chunk)
+        ok, proven_columns = _prove(chunk, starts, ends)
+        for i in np.flatnonzero(~ok).tolist():
+            deferred.append(line_no + i)
+            deferred_text.append(data[pos - _PAD + starts[i]:pos - _PAD + ends[i]]
+                                 .decode("utf-8", "surrogateescape"))
+        proven.append(ok)
+        columns.append(proven_columns)
+        line_no += len(ok)
+        pos = stop
+    lines, values, rejects = _parse_rows(zip(deferred, csv.reader(deferred_text)))
+    columns = [np.concatenate(c) for c in zip(*columns)] or _columns(())
+    if lines:
+        # A row _parse_row accepted goes after the proven rows of the lines before it.
+        proven_lines = 2 + np.flatnonzero(np.concatenate(proven))
+        columns = [np.insert(c, np.searchsorted(proven_lines, lines), v)
+                   for c, v in zip(columns, zip(*values))]
+    return columns, rejects
+
+
+def _line_bounds(chunk: np.ndarray) -> tuple:
+    """Start and end offsets of the padded chunk's lines, without their line breaks."""
+    ends = np.flatnonzero(chunk == ord("\n"))
+    if chunk[-_PAD - 1] != ord("\n"):
+        ends = np.append(ends, len(chunk) - _PAD)
+    starts = np.concatenate(([_PAD], ends[:-1] + 1))
+    # The file has no bare \r, so a \r before a line's end is part of its \r\n.
+    return starts, ends - (chunk[ends - 1] == ord("\r"))
+
+
+def _prove(chunk: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """Which lines the bulk pass proves, and their timestamp, lat, lon and rssi."""
+    commas = np.flatnonzero(chunk == ord(","))
+    first = np.searchsorted(commas, starts)
+    rows = np.flatnonzero(np.searchsorted(commas, ends) - first == 3)
+    cuts = commas[first[rows, None] + np.arange(3)].T
+    value, ok = _numbers(chunk, np.concatenate((starts[rows], *(cuts + 1))),
+                         np.concatenate((*cuts, ends[rows])))
+    iso, iso_ok = _iso_seconds(chunk, starts[rows], cuts[0])
+    ts, lat, lon, rssi = np.where(iso_ok, iso, value[0]), *value[1:]
+    good = (ok[0] | iso_ok) & ok[1:].all(0) & (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
+    proven = np.zeros(len(starts), dtype=bool)
+    proven[rows[good]] = True
+    return proven, tuple(c[good] for c in (ts, lat, lon, rssi))
+
+
+def _numbers(chunk: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """Values of the four fields of each line, and which are -?d+(.d+)? with at most 15 digits.
+
+    starts and ends hold the fields' offsets, field by field; each field is
+    read right-aligned in _NUMBER_WIDTH positions.
+    """
+    width = ends - starts
+    char = np.ascontiguousarray(sliding_window_view(chunk, _NUMBER_WIDTH)[ends - _NUMBER_WIDTH].T)
+    inside = _FROM_RIGHT <= np.minimum(width, _NUMBER_WIDTH + 1).astype(np.uint8)
+    digit = char - np.uint8(ord("0"))
+    is_digit = (digit < 10) & inside
+    is_dot = (char == ord(".")) & inside
+    n_digits = is_digit.sum(0, dtype=np.uint8)
+    n_dots = is_dot.sum(0, dtype=np.uint8)
+    # With one dot, the number of positions right of it.
+    decimals = np.where(n_dots == 1, (is_dot * _FROM_RIGHT).sum(0, dtype=np.uint8) - 1, 0)
+    negative = chunk[starts] == ord("-")
+    ok = ((n_digits + n_dots + negative == width) & (n_digits >= 1) & (n_digits <= _MAX_DIGITS)
+          & ((n_dots == 0) | (n_dots == 1) & (decimals >= 1) & (n_digits > decimals)))
+    # Drop the dot: the digits left of it move one place right.
+    digit *= is_digit
+    shifted = np.zeros_like(digit)
+    shifted[1:] = digit[:-1]
+    digit = np.where((_FROM_RIGHT > decimals) & (n_dots == 1), shifted, digit)
+    mantissa = np.zeros(len(starts))
+    for row in digit:  # exact: below 2**53 at every step of a valid number
+        mantissa *= 10.0
+        mantissa += row
+    value = mantissa / _POW10[decimals]
+    return np.where(negative, -value, value).reshape(4, -1), ok.reshape(4, -1)
+
+
+def _iso_seconds(chunk: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """UTC seconds of the fields YYYY-MM-DDTHH:MM:SS plus Z or +-HH:MM, and which are such.
+
+    A field that names no real instant (year 0, month 13, a day past the
+    month's end, hour 24, second 60) is not such a field.
+    """
+    char = np.ascontiguousarray(sliding_window_view(chunk, _ISO_WIDTH)[starts].T)
+    width, mark = ends - starts, char[19]
+    digit = char - np.uint8(ord("0"))
+    is_digit = digit < 10
+    zulu = (width == 20) & (mark == ord("Z"))
+    offset = ((width == _ISO_WIDTH) & ((mark == ord("+")) | (mark == ord("-")))
+              & (char[22] == ord(":")) & is_digit[[20, 21, 23, 24]].all(0))
+    ok = (zulu | offset) & is_digit[_ISO_DIGITS].all(0)
+    for col, sep in _ISO_SEPARATORS:
+        ok &= char[col] == sep
+    year, month, day, hour, minute, second, off_h, off_m = (
+        functools.reduce(lambda v, col: 10 * v + digit[col], cols, np.zeros(len(starts), np.int64))
+        for cols in _ISO_PARTS)
+    off_h, off_m = off_h * offset, off_m * offset
+    month0 = np.where(ok, (year - 1970) * 12 + month - 1, 0)
+    first, after = (m.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+                    for m in (month0, month0 + 1))
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= after - first)
+           & (hour <= 23) & (minute <= 59) & (second <= 59) & (off_h <= 23) & (off_m <= 59))
+    utc_offset = np.where(mark == ord("-"), -1, 1) * (off_h * 3600 + off_m * 60)
+    seconds = (first + day - 1) * 86400 + hour * 3600 + minute * 60 + second - utc_offset
+    return seconds.astype(float), ok
 
 
 def apply_calibration(records: Records, table: CalibrationTable) -> Records:
@@ -574,5 +775,4 @@ def to_sample_set(records: Records, source_id: str = "measurements") -> SampleSe
         raise NoValidSamples("no usable samples after exclusions")
     distance, path_loss = records.distance[kept], records.path_loss[kept]
     order = np.argsort(distance, kind="stable")
-    pairs = tuple(zip(distance[order].tolist(), path_loss[order].tolist()))
-    return SampleSet(pairs=pairs, source_id=source_id)
+    return SampleSet.from_arrays(distance[order], path_loss[order], source_id=source_id)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -12,36 +12,59 @@ from .errors import DegenerateFit, LengthMismatch, failed
 from .models import LogDistanceParams, ModelContext, losses
 
 
-@dataclass(frozen=True)
 class SampleSet:
     """Measured (distance, loss) pairs from one source.
 
-    distances and losses are read-only arrays built once from the pairs.
+    Held as two read-only float arrays, distances and losses.  pairs holds the
+    same samples as (distance, loss) tuples: as given, or built on first use
+    for a set made from arrays.  Immutable; two sets are equal when their
+    pairs and source_id are.
     """
 
-    pairs: tuple
-    source_id: str = "samples"
-
-    def __post_init__(self):
-        if not (self.distances > 0).all():
-            raise ValueError("sample distances must be positive")
+    def __init__(self, pairs, source_id: str = "samples"):
+        pairs = tuple(pairs)
+        distances = np.array([d for d, _ in pairs], dtype=float)
+        losses = np.array([l for _, l in pairs], dtype=float)
+        self._fill(distances, losses, source_id, pairs=pairs)
 
     @classmethod
     def from_arrays(cls, distances, losses, source_id: str = "samples") -> "SampleSet":
         if len(distances) != len(losses):
             raise LengthMismatch("distances and losses must have equal length")
-        return cls(pairs=tuple(zip(map(float, distances), map(float, losses))), source_id=source_id)
+        samples = cls.__new__(cls)
+        samples._fill(np.array(distances, dtype=float), np.array(losses, dtype=float), source_id)
+        return samples
+
+    def _fill(self, distances, losses, source_id, **cached) -> None:
+        if not (distances > 0).all():
+            raise ValueError("sample distances must be positive")
+        # Frozen: attributes go straight into __dict__, as cached_property does.
+        self.__dict__.update(distances=_read_only(distances), losses=_read_only(losses),
+                             source_id=source_id, **cached)
 
     @cached_property
-    def distances(self) -> np.ndarray:
-        return _read_only(np.array([d for d, _ in self.pairs], dtype=float))
+    def pairs(self) -> tuple:
+        return tuple(zip(self.distances.tolist(), self.losses.tolist()))
 
-    @cached_property
-    def losses(self) -> np.ndarray:
-        return _read_only(np.array([l for _, l in self.pairs], dtype=float))
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        return (self.pairs, self.source_id) == (other.pairs, other.source_id)
+
+    def __hash__(self):
+        return hash((self.pairs, self.source_id))
+
+    def __repr__(self) -> str:
+        return f"SampleSet(pairs={self.pairs!r}, source_id={self.source_id!r})"
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.distances)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

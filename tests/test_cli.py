@@ -117,6 +117,9 @@ class TestAnalyze:
         assert code == 0
         for name in ("fit.json", "comparison.csv", "samples.csv", "predictions.csv", "analysis.json"):
             assert (tmp_path / name).exists()
+        for name in ("fit.json", "analysis.json"):  # sorted keys, indent 2, final newline
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
         doc = json.loads((tmp_path / "analysis.json").read_text())
         # synthetic log is drawn from the bullington curve: exponent near 4
         assert abs(doc["fit"]["n"] - 4.0) < 0.35
@@ -218,6 +221,30 @@ class TestAnalyze:
             capsys,
         )
         assert code == 2
+
+    def test_undecodable_row_rejected_with_its_line(self, tmp_path, capsys):
+        lines = Path(C2_LOG).read_bytes().splitlines(keepends=True)
+        log = tmp_path / "bad.csv"
+        log.write_bytes(b"".join(lines[:2]) + b"2020-08-15T09:00:34Z,55.7\xff,12.9,-100\n"
+                        + b"".join(lines[2:]))
+        code, out, err = run(
+            ["analyze", "--config", "campaign2", "--log", str(log), "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 0 and "Traceback" not in err
+        assert "parsed 325 records (1 rejected rows)" in out
+        pipeline = json.loads((tmp_path / "o" / "analysis.json").read_text())["pipeline"]
+        assert pipeline["rejected_rows"] == [{"line": 3, "reason": "undecodable row"}]
+
+    def test_undecodable_header_exit_2(self, tmp_path, capsys):
+        log = tmp_path / "bad.csv"
+        log.write_bytes(b"timestamp,lat,lon,rssi_dbm,\xe9t\xe9\n1597482000,55.7,12.9,-100\n")
+        code, _, err = run(
+            ["analyze", "--config", "campaign2", "--log", str(log), "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("config error: header is not valid UTF-8")
 
 
 def too_high_config(tmp_path) -> str:
