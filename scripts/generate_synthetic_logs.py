@@ -8,11 +8,11 @@ model plus Gaussian noise and converted back to raw RSSI through the link
 budget and the example calibration table.
 
 With no arguments it rewrites the files under src/sealoss/data/.  With
-``--rows N --out PATH`` it writes one N-row log of a campaign's track
+``--rows N --out PATH`` it writes one N-row log of campaign2's track
 instead (same distance span, noise and seed, one row every 17 s), e.g. a
 1e6-row log for scale tests:
 
-    python scripts/generate_synthetic_logs.py --campaign campaign2 --rows 1000000 --out big.csv
+    python scripts/generate_synthetic_logs.py --rows 1000000 --out big.csv
 """
 
 from __future__ import annotations
@@ -86,18 +86,15 @@ def write_log(path: Path, campaign: str, n_rows: int, d_min: float, d_max: float
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--campaign", choices=sorted(SHIPPED_LOGS),
-                        help="campaign whose track, noise and seed the one log follows (default campaign2)")
     parser.add_argument("--rows", type=int, help="rows of the one log to write (with --out)")
     parser.add_argument("--out", type=Path, help="path of the one log to write (with --rows)")
     args = parser.parse_args(argv)
-    if (args.rows is None) != (args.out is None) or (args.campaign and args.rows is None):
-        parser.error("--rows and --out go together, and --campaign needs them")
+    if (args.rows is None) != (args.out is None):
+        parser.error("--rows and --out go together")
     if args.rows is not None:
         if args.rows < 2:
             parser.error("--rows must be at least 2")
-        campaign = args.campaign or "campaign2"
-        write_log(args.out, campaign, **{**SHIPPED_LOGS[campaign], "n_rows": args.rows})
+        write_log(args.out, "campaign2", **{**SHIPPED_LOGS["campaign2"], "n_rows": args.rows})
         print(f"wrote {args.rows} rows to {args.out}")
         return
     write_calibration_tables()

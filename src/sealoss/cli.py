@@ -53,8 +53,12 @@ class CommandResult:
 def _atomic_write(path: Path, write) -> None:
     """Stream the file through write(text stream) into a temp file, then rename it."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        write(fh)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 

@@ -32,6 +32,7 @@ import json
 import math
 import operator
 import warnings
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -481,10 +482,12 @@ def parse_log(source) -> ParsedLog:
     data = _log_bytes(source)
     if b'"' in data or data.count(b"\r") != data.count(b"\r\n"):
         # With quoted fields or bare \r breaks, csv rows are not the \n lines.
-        rows = csv.reader(io.StringIO(data.decode("utf-8", "surrogateescape"), newline=""))
+        # Decoded a block at a time, so the log's text is never held whole.
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+                                newline="")
+        rows = csv.reader(text)
         _check_header(next(rows, None))
-        _, values, rejects = _parse_rows(enumerate(rows, start=2))
-        columns = _columns(values)
+        _, columns, rejects = _parse_rows(enumerate(rows, start=2))
     else:
         columns, rejects = _parse_lines(data)
     if not len(columns[0]):
@@ -499,11 +502,6 @@ def _log_bytes(source) -> bytes:
         return Path(source).read_bytes()
     data = source.read()
     return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
-
-
-def _columns(values: list) -> list:
-    """The timestamp, lat, lon and rssi columns of (timestamp, lat, lon, rssi) rows."""
-    return [np.array(c, dtype=float) for c in zip(*values)] or [np.zeros(0) for _ in LOG_HEADER]
 
 
 def _check_header(header) -> None:
@@ -557,9 +555,10 @@ def _parse_row(row: list):
 def _parse_rows(numbered_rows):
     """Parse (line number, csv row) pairs one at a time, skipping blank rows.
 
-    Returns the accepted rows' line numbers and values and the rejects.
+    Returns the accepted rows' line numbers, their timestamp, lat, lon and
+    rssi columns, and the rejects.
     """
-    lines, values, rejects = [], [], []
+    lines, values, rejects = array("q"), array("d"), []
     for line_no, row in numbered_rows:
         if not any(map(str.strip, row)):
             continue
@@ -568,8 +567,9 @@ def _parse_rows(numbered_rows):
             rejects.append((line_no, parsed, _raw_text(row)))
         else:
             lines.append(line_no)
-            values.append(parsed)
-    return lines, values, rejects
+            values.extend(parsed)
+    columns = np.frombuffer(values, dtype=float).reshape(-1, len(LOG_HEADER)).T
+    return lines, [c.copy() for c in columns], rejects
 
 
 # The bulk pass.  It reads a log whose csv rows are its \n lines in chunks of
@@ -617,13 +617,13 @@ def _parse_lines(data: bytes) -> tuple:
         columns.append(proven_columns)
         line_no += len(ok)
         pos = stop
-    lines, values, rejects = _parse_rows(zip(deferred, csv.reader(deferred_text)))
-    columns = [np.concatenate(c) for c in zip(*columns)] or _columns(())
+    lines, deferred_columns, rejects = _parse_rows(zip(deferred, csv.reader(deferred_text)))
+    columns = [np.concatenate(c) for c in zip(*columns)] or deferred_columns
     if lines:
         # A row _parse_row accepted goes after the proven rows of the lines before it.
         proven_lines = 2 + np.flatnonzero(np.concatenate(proven))
         columns = [np.insert(c, np.searchsorted(proven_lines, lines), v)
-                   for c, v in zip(columns, zip(*values))]
+                   for c, v in zip(columns, deferred_columns)]
     return columns, rejects
 
 

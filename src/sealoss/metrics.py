@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -12,56 +12,50 @@ from .errors import DegenerateFit, LengthMismatch, failed
 from .models import LogDistanceParams, ModelContext, losses
 
 
+@dataclass(frozen=True)
 class SampleSet:
     """Measured (distance, loss) pairs from one source.
 
-    Held as two read-only float arrays, distances and losses.  pairs holds the
-    same samples as (distance, loss) tuples: as given, or built on first use
-    for a set made from arrays.  Immutable; two sets are equal when their
-    pairs and source_id are.
+    distances and losses are read-only arrays: built once from the pairs, or
+    copied once from the arrays given to from_arrays, in which case the pairs
+    are built on first use.
     """
 
-    def __init__(self, pairs, source_id: str = "samples"):
-        pairs = tuple(pairs)
-        distances = np.array([d for d, _ in pairs], dtype=float)
-        losses = np.array([l for _, l in pairs], dtype=float)
-        self._fill(distances, losses, source_id, pairs=pairs)
+    pairs: tuple
+    source_id: str = "samples"
+
+    def __post_init__(self):
+        if not (self.distances > 0).all():
+            raise ValueError("sample distances must be positive")
 
     @classmethod
     def from_arrays(cls, distances, losses, source_id: str = "samples") -> "SampleSet":
         if len(distances) != len(losses):
             raise LengthMismatch("distances and losses must have equal length")
         samples = cls.__new__(cls)
-        samples._fill(np.array(distances, dtype=float), np.array(losses, dtype=float), source_id)
+        # Frozen: source_id and the cached arrays go straight into __dict__.
+        samples.__dict__.update(source_id=source_id,
+                                distances=_read_only(np.array(distances, dtype=float)),
+                                losses=_read_only(np.array(losses, dtype=float)))
+        samples.__post_init__()
         return samples
 
-    def _fill(self, distances, losses, source_id, **cached) -> None:
-        if not (distances > 0).all():
-            raise ValueError("sample distances must be positive")
-        # Frozen: attributes go straight into __dict__, as cached_property does.
-        self.__dict__.update(distances=_read_only(distances), losses=_read_only(losses),
-                             source_id=source_id, **cached)
+    def __getattr__(self, name):
+        # Reached only for the pairs of a set made by from_arrays.  A binned
+        # analysis never reads them; on a 1e6-row log they would take ~145 MB.
+        if name != "pairs" or "distances" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pairs = tuple(zip(self.distances.tolist(), self.losses.tolist()))
+        self.__dict__["pairs"] = pairs
+        return pairs
 
     @cached_property
-    def pairs(self) -> tuple:
-        return tuple(zip(self.distances.tolist(), self.losses.tolist()))
+    def distances(self) -> np.ndarray:
+        return _read_only(np.array([d for d, _ in self.pairs], dtype=float))
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, SampleSet):
-            return NotImplemented
-        return (self.pairs, self.source_id) == (other.pairs, other.source_id)
-
-    def __hash__(self):
-        return hash((self.pairs, self.source_id))
-
-    def __repr__(self) -> str:
-        return f"SampleSet(pairs={self.pairs!r}, source_id={self.source_id!r})"
+    @cached_property
+    def losses(self) -> np.ndarray:
+        return _read_only(np.array([l for _, l in self.pairs], dtype=float))
 
     def __len__(self) -> int:
         return len(self.distances)

@@ -278,6 +278,15 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "sea.sigma_h" in err
 
 
+def test_failed_artifact_write_leaves_no_temp_file(tmp_path):
+    from sealoss.cli import _write_json
+
+    (tmp_path / "doc.json").write_text("old\n")
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "doc.json", {"a": 1, "b": object()})
+    assert read_dir(tmp_path) == {"doc.json": b"old\n"}
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(sealoss.__file__).parents[1])
     probe = "import sys, sealoss.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

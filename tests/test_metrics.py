@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -191,3 +192,22 @@ class TestBinning:
         samples = SampleSet(pairs=((100.0, 80.0), (10_000.0, 140.0)))
         binned = bin_samples(samples, 10)
         assert len(binned) == 2
+
+
+class TestSampleSet:
+    def test_from_arrays_matches_pairs(self):
+        pairs = ((100.0, 80.0), (250.5, 91.25), (1000.0, -0.0))
+        built = SampleSet.from_arrays(np.array([p[0] for p in pairs]), [p[1] for p in pairs], "s")
+        given = SampleSet(pairs=pairs, source_id="s")
+        assert built == given and hash(built) == hash(given) and repr(built) == repr(given)
+        assert built.pairs == pairs and len(built) == 3
+        assert dataclasses.replace(built, source_id="t") == SampleSet(pairs=pairs, source_id="t")
+        assert not built.distances.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.pairs = ()
+
+    def test_rejects_non_positive_distance(self):
+        with pytest.raises(ValueError):
+            SampleSet.from_arrays([100.0, 0.0], [80.0, 81.0])
+        with pytest.raises(ValueError):
+            SampleSet(pairs=((100.0, 80.0), (-1.0, 81.0)))
