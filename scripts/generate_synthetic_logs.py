@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from sealoss import CalibrationTable, load_campaign
-from sealoss.errors import raise_first
+from sealoss.errors import SeaLossError
 from sealoss.models import losses
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "sealoss" / "data"
@@ -71,8 +71,9 @@ def write_log(path: Path, campaign: str, n_rows: int, d_min: float, d_max: float
     d = d_min + np.arange(n_rows) * (d_max - d_min) / (n_rows - 1)
     # Due-south meridian track: the haversine distance is exactly r_e * dlat.
     lat = cfg.bs_position.latitude - np.degrees(d / cfg.earth.true_radius)
-    loss, errors = losses("bullington", cfg.model_context(), d)
-    raise_first(errors)
+    loss, reasons = losses("bullington", cfg.model_context(), d)
+    if reasons.any():
+        raise SeaLossError(f"bullington fails at {np.count_nonzero(reasons)} of {n_rows} track points")
     raw = raw_from_calibrated(gains - (loss + rng.normal(0.0, noise_db, n_rows)), table)
     seconds = np.datetime64(start_iso, "s") + 17 * np.arange(n_rows)
     timestamps = np.datetime_as_string(seconds, unit="s")

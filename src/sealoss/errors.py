@@ -1,7 +1,8 @@
 """Exception and warning types shared across the package.
 
-Array evaluations do not raise per point: they keep one error slot per point,
-None where the point evaluated and the SeaLossError it raises otherwise.
+Array evaluations do not raise per point: they return one uint8 reason code
+per point, OK (0) where the point evaluated.  REASONS maps every other code to
+the SeaLossError a scalar call raises there and its message template.
 """
 
 import numpy as np
@@ -79,18 +80,22 @@ class BullingtonValidityWarning(UserWarning):
     """Antenna height exceeds the scaled validity ceiling outside the 868 MHz band."""
 
 
-def no_errors(n: int) -> np.ndarray:
-    """Error slots for n points, all empty."""
-    return np.full(n, None, dtype=object)
+# Reason codes of array evaluations: per-point failures, then failures of a
+# whole context.  uint8, so that arrays of them stay uint8.
+OK, BEYOND_HORIZON, COLLAPSED, NOT_CONVERGED, ZERO_FIELD = np.arange(5, dtype=np.uint8)
+ANTENNA_TOO_HIGH, FREQUENCY_OUT_OF_RANGE, UNSUPPORTED_TIME_PERCENTAGE = np.uint8([5, 6, 7])
 
-
-def failed(errors: np.ndarray) -> np.ndarray:
-    """Mask of the points whose slot holds an error."""
-    return np.not_equal(errors, None)
-
-
-def raise_first(errors: np.ndarray) -> None:
-    """Raise the first point's error, if any point has one."""
-    for exc in errors:
-        if exc is not None:
-            raise exc
+# Each failure's exception class and message template, the one home of both.
+REASONS = {
+    BEYOND_HORIZON: (NoSpecularPoint, "d = {d:.1f} m is at or beyond the horizon ({d_h:.1f} m)"),
+    COLLAPSED: (NoSpecularPoint, "grazing geometry collapsed at d = {d:.1f} m"),
+    NOT_CONVERGED: (NumericalFailure, "specular-point cubic did not converge "
+                                      "(residual {residual:.3e}, scale {scale:.3e})"),
+    ZERO_FIELD: (NumericalFailure, "two-ray field sum cancels to zero at d = {d:.1f} m"),
+    ANTENNA_TOO_HIGH: (AntennaTooHigh, "antenna height {h_max:.1f} m exceeds the {ceiling:.0f} m "
+                                       "Bullington ceiling at {mhz:.0f} MHz"),
+    FREQUENCY_OUT_OF_RANGE: (FrequencyOutOfRange,
+                             "{mhz:.1f} MHz outside the 30 MHz - 50 GHz model range"),
+    UNSUPPORTED_TIME_PERCENTAGE: (UnsupportedTimePercentage, "only the median (T_pc = 50) path "
+                                                             "is computed by the reduced model"),
+}

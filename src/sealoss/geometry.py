@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NoSpecularPoint, NumericalFailure, failed, no_errors, raise_first
+from .errors import BEYOND_HORIZON, COLLAPSED, NOT_CONVERGED, OK, REASONS
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 EARTH_RADIUS = 6_371_000.0      # mean earth radius, m
@@ -207,7 +207,9 @@ def _specular_ground_distance(h_t: float, h_r: float, d: np.ndarray, r_e: float)
     root.  Every point takes Newton steps whenever they stay inside its
     bracket, bisection otherwise, and stops once its residual is below 1e-10
     of the largest term's magnitude.  Returns the roots (nan where the solve
-    failed) and the per-point errors.
+    failed), the reason codes, and the last residuals and their scales.  Each
+    point's steps depend on that point only, so a one-point solve gives the
+    same bits.
     """
     c1 = d * d - 2.0 * r_e * (h_t + h_r)
     c0 = 2.0 * r_e * h_t * d
@@ -234,12 +236,7 @@ def _specular_ground_distance(h_t: float, h_r: float, d: np.ndarray, r_e: float)
             x_new = x - p / dp
             newton = (dp != 0.0) & (lo < x_new) & (x_new < hi)
             x = np.where(done, x, np.where(newton, x_new, 0.5 * (lo + hi)))
-    errors = no_errors(d.size)
-    for i in np.flatnonzero(~done):
-        errors[i] = NumericalFailure(
-            f"specular-point cubic did not converge (residual {p[i]:.3e}, scale {scale[i]:.3e})"
-        )
-    return np.where(done, x, np.nan), errors
+    return np.where(done, x, np.nan), np.where(done, OK, NOT_CONVERGED), p, scale
 
 
 def specular_points(g: LinkGeometry):
@@ -247,28 +244,24 @@ def specular_points(g: LinkGeometry):
 
     Array form of reflection_geometry.  Returns the ReflectionGeometry of the
     points that have one (arrays over those points, in order) and the
-    per-point errors: NoSpecularPoint at or beyond the horizon or where the
-    grazing geometry collapses, NumericalFailure where the cubic solve fails.
+    per-point reason codes: BEYOND_HORIZON at or beyond the horizon,
+    COLLAPSED where the grazing geometry collapses, NOT_CONVERGED where the
+    cubic solve fails.
     """
     d = distances(g.d)
-    errors = no_errors(d.size)
-    d_h = horizon_distance(g)
-    beyond = d >= d_h
-    for i in np.flatnonzero(beyond):
-        errors[i] = NoSpecularPoint(f"d = {d[i]:.1f} m is at or beyond the horizon ({d_h:.1f} m)")
+    beyond = d >= horizon_distance(g)
+    reasons = np.where(beyond, BEYOND_HORIZON, OK)
     r_e = g.earth.effective_radius
     x_g = np.full(d.shape, np.nan)
-    x_g[~beyond], errors[~beyond] = _specular_ground_distance(g.h_t, g.h_r, d[~beyond], r_e)
+    x_g[~beyond], reasons[~beyond], _, _ = _specular_ground_distance(g.h_t, g.h_r, d[~beyond], r_e)
     xp_g = d - x_g
     h_t_p = g.h_t - x_g * x_g / (2.0 * r_e)
     h_r_p = g.h_r - xp_g * xp_g / (2.0 * r_e)
     x, x_p, l = np.hypot(x_g, h_t_p), np.hypot(xp_g, h_r_p), np.hypot(d, h_t_p - h_r_p)
     # Numerically indistinguishable from the horizon: within rounding of it the
     # tangent-plane heights or the reflected-path excess x + x' - l go negative.
-    collapsed = ~failed(errors) & ((h_t_p <= 0.0) | (h_r_p <= 0.0) | (x + x_p < l))
-    for i in np.flatnonzero(collapsed):
-        errors[i] = NoSpecularPoint(f"grazing geometry collapsed at d = {d[i]:.1f} m")
-    ok = ~failed(errors)
+    reasons[(reasons == OK) & ((h_t_p <= 0.0) | (h_r_p <= 0.0) | (x + x_p < l))] = COLLAPSED
+    ok = reasons == OK
     x, x_p, l, x_g, xp_g, h_t_p, h_r_p = (a[ok] for a in (x, x_p, l, x_g, xp_g, h_t_p, h_r_p))
     rg = ReflectionGeometry(
         x=x,
@@ -280,7 +273,26 @@ def specular_points(g: LinkGeometry):
         ground_x=x_g,
         ground_x_prime=xp_g,
     )
-    return rg, errors
+    return rg, reasons
+
+
+def point_errors(g: LinkGeometry, reasons: np.ndarray, **values):
+    """Yield the SeaLossError of every failed point of g, in order.
+
+    values holds the call's message values; h_max, d_h (once, if needed) and a
+    non-converged point's residual and scale (by a one-point solve) join them.
+    """
+    d = distances(g.d)
+    values["h_max"] = max(g.h_t, g.h_r)
+    if (reasons == BEYOND_HORIZON).any():
+        values["d_h"] = horizon_distance(g)
+    for i in np.flatnonzero(reasons).tolist():
+        values["d"], code = d.item(i), reasons.item(i)
+        if code == NOT_CONVERGED:
+            solve = _specular_ground_distance(g.h_t, g.h_r, d[i:i + 1], g.earth.effective_radius)
+            values.update(residual=solve[2][0], scale=solve[3][0])
+        cls, template = REASONS[code]
+        yield cls(template.format_map(values))
 
 
 def reflection_geometry(g: LinkGeometry) -> ReflectionGeometry:
@@ -295,8 +307,9 @@ def reflection_geometry(g: LinkGeometry) -> ReflectionGeometry:
         NoSpecularPoint: if d is at or beyond the horizon distance.
         NumericalFailure: if the cubic solver does not converge.
     """
-    rg, errors = specular_points(g)
-    raise_first(errors)
+    rg, reasons = specular_points(g)
+    if reasons.any():
+        raise next(point_errors(g, reasons))
     if np.ndim(g.d):
         return rg
     return replace(rg, **{name: value.item() for name, value in vars(rg).items()})

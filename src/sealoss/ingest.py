@@ -11,14 +11,15 @@ MeasurementRecord row views on demand.
 parse_log reads the log's bytes once.  A bulk numpy pass converts the lines
 of the common forms (plain decimal numbers, ISO timestamps with Z or an
 offset), bit for bit as float() and datetime.fromisoformat() would; every
-other row goes through _parse_row, which alone defines the reject reasons.
+other row goes through _parse_row, which defines the reject reasons; a row
+the csv reader itself refuses is rejected with the reader's message.
 
 External formats:
   measurement log   UTF-8 CSV, header ``timestamp,lat,lon,rssi_dbm`` (extra
                     columns ignored), timestamps ISO-8601 UTC or epoch
                     seconds; a row that is not valid UTF-8 is rejected
-  calibration table CSV, header ``reported_rssi_dbm,correction_db``
-  campaign config   one JSON document (radio, BS position, heights, sea state,
+  calibration table UTF-8 CSV, header ``reported_rssi_dbm,correction_db``
+  campaign config   one UTF-8 JSON document (radio, BS position, heights, sea state,
                     exclusion zones); campaign1.json / campaign2.json ship
                     with the package
 """
@@ -28,12 +29,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import operator
 import warnings
 from array import array
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from importlib.resources import files
@@ -197,18 +198,17 @@ class CalibrationTable:
     @classmethod
     def from_csv(cls, source) -> "CalibrationTable":
         """The table a CSV describes; raises ConfigError for one that is not a valid table."""
-        with _open_text(source) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise EmptyLog("calibration table is empty")
-            got = tuple(h.strip().lower() for h in header[:2])
-            if got != CALIBRATION_HEADER:
-                raise HeaderMismatch(f"expected {','.join(CALIBRATION_HEADER)}, got {','.join(got)}")
-            try:
-                entries = [(float(row[0]), float(row[1])) for row in reader if row]
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"invalid calibration table: {exc}") from exc
+        reader = csv.reader(io.StringIO(_read_text(source), newline=""))
+        header = next(reader, None)
+        if header is None:
+            raise EmptyLog("calibration table is empty")
+        got = tuple(h.strip().lower() for h in header[:2])
+        if got != CALIBRATION_HEADER:
+            raise HeaderMismatch(f"expected {','.join(CALIBRATION_HEADER)}, got {','.join(got)}")
+        try:
+            entries = [(float(row[0]), float(row[1])) for row in reader if row]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"invalid calibration table: {exc}") from exc
         entries.sort(key=lambda e: e[0])
         try:
             return cls(entries=tuple(entries))
@@ -335,8 +335,7 @@ class CampaignConfig:
     @classmethod
     def from_json(cls, source) -> "CampaignConfig":
         try:
-            with _open_text(source) as fh:
-                doc = json.load(fh)
+            doc = json.loads(_read_text(source))
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -448,11 +447,17 @@ def load_campaign(name_or_path) -> CampaignConfig:
         raise ConfigError(f"no config file or built-in campaign named {name_or_path!r}")
 
 
-def _open_text(source):
-    """Accept an open text stream (left open) or a path to open."""
+def _read_text(source) -> str:
+    """The text of an open text stream (left open), or of the UTF-8 file at a path.
+
+    Raises ConfigError for a file that is not UTF-8.
+    """
     if hasattr(source, "read"):
-        return nullcontext(source)
-    return open(source, "r", encoding="utf-8", newline="")
+        return source.read()
+    try:
+        return Path(source).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{source} is not UTF-8 text: {exc}") from exc
 
 
 def _parse_timestamp(text: str) -> float:
@@ -487,7 +492,7 @@ def parse_log(source) -> ParsedLog:
                                 newline="")
         rows = csv.reader(text)
         _check_header(next(rows, None))
-        _, columns, rejects = _parse_rows(enumerate(rows, start=2))
+        _, columns, rejects = _parse_rows(itertools.count(2), rows)
     else:
         columns, rejects = _parse_lines(data)
     if not len(columns[0]):
@@ -552,14 +557,23 @@ def _parse_row(row: list):
     return ts, lat, lon, rssi
 
 
-def _parse_rows(numbered_rows):
-    """Parse (line number, csv row) pairs one at a time, skipping blank rows.
+def _parse_rows(line_numbers, rows):
+    """Parse a csv reader's rows one at a time, numbered by line_numbers; skip blank rows.
 
+    A row the reader refuses (a field over csv's size limit) is rejected with
+    the reader's message and no text; the reader goes on with the next row.
     Returns the accepted rows' line numbers, their timestamp, lat, lon and
     rssi columns, and the rejects.
     """
     lines, values, rejects = array("q"), array("d"), []
-    for line_no, row in numbered_rows:
+    for line_no in line_numbers:
+        try:
+            row = next(rows)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            rejects.append((line_no, str(exc), ""))
+            continue
         if not any(map(str.strip, row)):
             continue
         parsed = _parse_row(row)
@@ -617,7 +631,7 @@ def _parse_lines(data: bytes) -> tuple:
         columns.append(proven_columns)
         line_no += len(ok)
         pos = stop
-    lines, deferred_columns, rejects = _parse_rows(zip(deferred, csv.reader(deferred_text)))
+    lines, deferred_columns, rejects = _parse_rows(deferred, csv.reader(deferred_text))
     columns = [np.concatenate(c) for c in zip(*columns)] or deferred_columns
     if lines:
         # A row _parse_row accepted goes after the proven rows of the lines before it.

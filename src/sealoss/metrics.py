@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFit, LengthMismatch, failed
+from .errors import OK, DegenerateFit, LengthMismatch
 from .models import LogDistanceParams, ModelContext, losses
 
 
@@ -139,8 +139,8 @@ def compare_models(samples: SampleSet, model_ids, ctx: ModelContext) -> list:
     d, measured = samples.distances, samples.losses
     reports = []
     for model_id in model_ids:
-        predicted, errors = losses(model_id, ctx, d)
-        ok = ~failed(errors)
+        predicted, reasons = losses(model_id, ctx, d)
+        ok = reasons == OK
         n_ok = int(ok.sum())
         if n_ok == 0:
             continue

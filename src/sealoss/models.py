@@ -7,9 +7,9 @@ diffraction under median conditions), and the empirical log-distance model.
 All models return loss in dB as a function of distance.
 
 Every model is written once, over arrays of distances: losses() evaluates a
-model at many distances in one pass, recording per point the SeaLossError
-that evaluate_model would raise there, and the scalar functions call the same
-array code with one-point arrays.
+model at many distances in one pass, recording per point a reason code
+(errors.REASONS) for the SeaLossError that evaluate_model would raise there,
+and the scalar functions call the same array code with one-point arrays.
 """
 
 from __future__ import annotations
@@ -21,18 +21,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    AntennaTooHigh,
+    ANTENNA_TOO_HIGH,
+    FREQUENCY_OUT_OF_RANGE,
+    OK,
+    UNSUPPORTED_TIME_PERCENTAGE,
+    ZERO_FIELD,
     BullingtonValidityWarning,
     ConfigError,
-    FrequencyOutOfRange,
     NoCoverage,
-    NumericalFailure,
-    SeaLossError,
     UnboundedRange,
-    UnsupportedTimePercentage,
-    failed,
-    no_errors,
-    raise_first,
 )
 from .geometry import (
     EarthModel,
@@ -41,6 +38,8 @@ from .geometry import (
     fresnel60_distance,
     horizon_distance,
     like,
+    point_errors,
+    reflection_geometry,
     specular_points,
     wavelength,
 )
@@ -168,14 +167,25 @@ class ModelContext:
         return LinkGeometry(h_t=self.h_t, h_r=self.h_r, d=d, earth=self.earth)
 
 
-def _checked(d, result):
-    """The losses of an array evaluation; raises the first point's error.
+def _errors(g: LinkGeometry, frequency: float, reasons: np.ndarray):
+    """Yield the SeaLossError of every failed point of g, in order."""
+    return point_errors(g, reasons, mhz=frequency / 1e6, ceiling=_BULLINGTON_CEILING_M)
 
-    Returns a number when d is one.
+
+def _checked(result, d, frequency: float, h_t: float, h_r: float, earth=EarthModel()):
+    """The losses of an array evaluation at d, a number when d is one.
+
+    Raises the first failed point's error, built from the link h_t, h_r, earth.
     """
-    loss, errors = result
-    raise_first(errors)
+    loss, reasons = result
+    if reasons.any():
+        raise next(_errors(LinkGeometry(h_t, h_r, distances(d), earth), frequency, reasons))
     return like(d, loss)
+
+
+def _failing(d: np.ndarray, code):
+    """The losses and reasons of a context that fails with one code at every point."""
+    return np.full(d.shape, np.nan), np.full(d.shape, code)
 
 
 def free_space_loss(d, frequency: float):
@@ -183,31 +193,24 @@ def free_space_loss(d, frequency: float):
     return like(d, 20.0 * np.log10(4.0 * math.pi * distances(d) / wavelength(frequency)))
 
 
-def _two_ray_db(l, r, reflection, frequency: float, d):
-    """Two-ray losses given direct lengths l, reflected lengths r and coefficients R.
-
-    Returns the losses and per-point errors; d only labels the errors.
-    """
+def _two_ray_db(l, r, reflection, frequency: float):
+    """Two-ray losses and reasons given direct lengths l, reflected lengths r and coefficients R."""
     lam = wavelength(frequency)
     phase = 2.0 * math.pi * (r - l) / lam
     field_sum = 1.0 / l + reflection * np.exp(1j * phase) / r
     magnitude = np.abs(field_sum)
     # |1/l + R e^{j phi}/r| >= 1/l - |R|/r > 0 for |R| <= 1 and r > l, but far
     # out r - l can round to exactly 0, and with R = -1 the two terms cancel.
-    errors = no_errors(magnitude.size)
     zero = magnitude == 0.0
-    for i in np.flatnonzero(zero):
-        errors[i] = NumericalFailure(f"two-ray field sum cancels to zero at d = {d[i]:.1f} m")
     with np.errstate(divide="ignore"):
         loss = 20.0 * math.log10(4.0 * math.pi / lam) - 20.0 * np.log10(magnitude)
     loss[zero] = np.nan
-    return loss, errors
+    return loss, np.where(zero, ZERO_FIELD, OK)
 
 
 def _two_ray_flat(d, h_t: float, h_r: float, frequency: float, reflection: complex = -1.0):
-    return _two_ray_db(
-        np.hypot(d, h_t - h_r), np.hypot(d, h_t + h_r), complex(reflection), frequency, d
-    )
+    l, r = np.hypot(d, h_t - h_r), np.hypot(d, h_t + h_r)
+    return _two_ray_db(l, r, complex(reflection), frequency)
 
 
 def two_ray_flat(
@@ -225,17 +228,18 @@ def two_ray_flat(
     the direct-ray length.  Raises NumericalFailure where the field sum
     cancels to zero.
     """
-    return _checked(d, _two_ray_flat(distances(d), h_t, h_r, frequency, reflection))
+    loss = _two_ray_flat(distances(d), h_t, h_r, frequency, reflection)
+    return _checked(loss, d, frequency, h_t, h_r)
 
 
 def _two_ray_round(g: LinkGeometry, frequency: float, sea: SeaState, pol: Polarization):
     """Round-earth two-ray losses with the effective sea reflection, one specular solve per point."""
-    rg, errors = specular_points(g)
-    ok = ~failed(errors)
+    rg, reasons = specular_points(g)
+    ok = reasons == OK
     r_eff = effective_reflection_at(rg, g, frequency, sea, pol)
-    loss = np.full(errors.size, np.nan)
-    loss[ok], errors[ok] = _two_ray_db(rg.l, rg.x + rg.x_prime, r_eff.value, frequency, g.d[ok])
-    return loss, errors
+    loss = np.full(reasons.size, np.nan)
+    loss[ok], reasons[ok] = _two_ray_db(rg.l, rg.x + rg.x_prime, r_eff.value, frequency)
+    return loss, reasons
 
 
 def two_ray_round_earth(g: LinkGeometry, frequency: float, r_eff: EffectiveReflection):
@@ -244,10 +248,9 @@ def two_ray_round_earth(g: LinkGeometry, frequency: float, r_eff: EffectiveRefle
     Ray lengths come from the specular-point solution on the curved sea;
     raises NoSpecularPoint beyond the horizon.
     """
-    d = distances(g.d)
-    rg, errors = specular_points(g)
-    raise_first(errors)
-    return _checked(g.d, _two_ray_db(rg.l, rg.x + rg.x_prime, r_eff.value, frequency, d))
+    rg = reflection_geometry(replace(g, d=distances(g.d)))  # arrays, also for a number d
+    loss = _two_ray_db(rg.l, rg.x + rg.x_prime, r_eff.value, frequency)
+    return _checked(loss, g.d, frequency, g.h_t, g.h_r, g.earth)
 
 
 def _first_term_diffraction(
@@ -326,25 +329,6 @@ def _beyond_horizon(g: LinkGeometry, frequency: float):
     return free_space_loss(g.d, frequency) + smooth_earth_diffraction_loss(g, frequency)
 
 
-def _check_bullington_heights(g: LinkGeometry, frequency: float) -> None:
-    h_max = max(g.h_t, g.h_r)
-    if _BULLINGTON_BAND[0] <= frequency <= _BULLINGTON_BAND[1]:
-        if h_max > _BULLINGTON_CEILING_M:
-            raise AntennaTooHigh(
-                f"antenna height {h_max:.1f} m exceeds the {_BULLINGTON_CEILING_M:.0f} m "
-                f"Bullington ceiling at {frequency / 1e6:.0f} MHz"
-            )
-    else:
-        ceiling = _BULLINGTON_CEILING_M * (868e6 / frequency) ** (1.0 / 3.0)
-        if h_max > ceiling:
-            warnings.warn(
-                f"antenna height {h_max:.1f} m exceeds the scaled Bullington ceiling "
-                f"{ceiling:.1f} m at {frequency / 1e6:.0f} MHz",
-                BullingtonValidityWarning,
-                stacklevel=4,
-            )
-
-
 def _log_bridge(d, d_60: float, d_h: float, end_value: float):
     """Diffraction onset bridged linearly in log10(d) from 0 at d_60 to end_value at d_h."""
     if d_60 >= d_h:
@@ -353,24 +337,48 @@ def _log_bridge(d, d_60: float, d_h: float, end_value: float):
     return np.where(d <= d_60, 0.0, end_value * np.minimum(frac, 1.0))
 
 
-def _bullington(g: LinkGeometry, frequency: float):
-    _check_bullington_heights(g, frequency)
+def _bridged(g: LinkGeometry, frequency: float, base, horizon_value):
+    """base(g inside the horizon) plus the bridge from 0 at d_60 to horizon_value(g at d_h).
+
+    Beyond the horizon the loss is free space plus the smooth-sphere diffraction.
+    """
     d = distances(g.d)
     d_h = horizon_distance(g)
     beyond = d >= d_h
-    loss, errors = np.empty(d.shape), no_errors(d.size)
+    loss, reasons = np.empty(d.shape), np.zeros(d.shape, np.uint8)
     if beyond.any():
         loss[beyond] = _beyond_horizon(replace(g, d=d[beyond]), frequency)
     inside = ~beyond
     if inside.any():
-        flat, errors[inside] = _two_ray_flat(d[inside], g.h_t, g.h_r, frequency)
-        shadow_at_horizon = (
-            _beyond_horizon(replace(g, d=d_h), frequency)
-            - two_ray_flat(d_h, g.h_t, g.h_r, frequency, reflection=-1.0)
-        )
+        base_loss, reasons[inside] = base(replace(g, d=d[inside]))
+        end_value = horizon_value(replace(g, d=d_h))
         d_60 = fresnel60_distance(g, frequency)
-        loss[inside] = flat + _log_bridge(d[inside], d_60, d_h, shadow_at_horizon)
-    return loss, errors
+        loss[inside] = base_loss + _log_bridge(d[inside], d_60, d_h, end_value)
+    return loss, reasons
+
+
+def _bullington(g: LinkGeometry, frequency: float):
+    h_max = max(g.h_t, g.h_r)
+    if _BULLINGTON_BAND[0] <= frequency <= _BULLINGTON_BAND[1]:
+        if h_max > _BULLINGTON_CEILING_M:
+            return _failing(distances(g.d), ANTENNA_TOO_HIGH)
+    else:
+        ceiling = _BULLINGTON_CEILING_M * (868e6 / frequency) ** (1.0 / 3.0)
+        if h_max > ceiling:
+            warnings.warn(
+                f"antenna height {h_max:.1f} m exceeds the scaled Bullington ceiling "
+                f"{ceiling:.1f} m at {frequency / 1e6:.0f} MHz",
+                BullingtonValidityWarning,
+                stacklevel=3,
+            )
+    return _bridged(
+        g, frequency,
+        lambda inner: _two_ray_flat(inner.d, g.h_t, g.h_r, frequency),
+        lambda at_d_h: (
+            _beyond_horizon(at_d_h, frequency)
+            - two_ray_flat(at_d_h.d, g.h_t, g.h_r, frequency, reflection=-1.0)
+        ),
+    )
 
 
 def bullington_loss(g: LinkGeometry, frequency: float):
@@ -387,24 +395,16 @@ def bullington_loss(g: LinkGeometry, frequency: float):
     other frequencies a BullingtonValidityWarning is emitted above the
     f^(-1/3)-scaled ceiling instead.
     """
-    return _checked(g.d, _bullington(g, frequency))
+    return _checked(_bullington(g, frequency), g.d, frequency, g.h_t, g.h_r, g.earth)
 
 
 def _rel(g: LinkGeometry, frequency: float, sea: SeaState, pol: Polarization):
-    d = distances(g.d)
-    d_h = horizon_distance(g)
-    beyond = d >= d_h
-    loss, errors = np.empty(d.shape), no_errors(d.size)
-    if beyond.any():
-        loss[beyond] = _beyond_horizon(replace(g, d=d[beyond]), frequency)
-    inside = ~beyond
-    if inside.any():
-        base, errors[inside] = _two_ray_round(replace(g, d=d[inside]), frequency, sea, pol)
-        # Vertical polarization, like the beyond-horizon term, whatever pol is.
-        diffraction_at_horizon = smooth_earth_diffraction_loss(replace(g, d=d_h), frequency)
-        d_60 = fresnel60_distance(g, frequency)
-        loss[inside] = base + _log_bridge(d[inside], d_60, d_h, diffraction_at_horizon)
-    return loss, errors
+    # Vertical polarization at the horizon, like the beyond-horizon term, whatever pol is.
+    return _bridged(
+        g, frequency,
+        lambda inner: _two_ray_round(inner, frequency, sea, pol),
+        lambda at_d_h: smooth_earth_diffraction_loss(at_d_h, frequency),
+    )
 
 
 def rel_loss(
@@ -423,7 +423,7 @@ def rel_loss(
     sets the reflection only: the diffraction term is always the
     vertical-polarized one.
     """
-    return _checked(g.d, _rel(g, frequency, sea, pol))
+    return _checked(_rel(g, frequency, sea, pol), g.d, frequency, g.h_t, g.h_r, g.earth)
 
 
 def _itu_spherical_diffraction(
@@ -490,6 +490,17 @@ def _itu_spherical_diffraction(
     return loss
 
 
+def _itu(g: LinkGeometry, frequency: float, itu: ItuParams, polarization: Polarization):
+    d = distances(g.d)
+    if not 30e6 <= frequency <= 50e9:
+        return _failing(d, FREQUENCY_OUT_OF_RANGE)
+    if itu.time_percentage != 50.0:
+        return _failing(d, UNSUPPORTED_TIME_PERCENTAGE)
+    radius_m = itu.median_effective_radius_factor * g.earth.true_radius
+    diffraction = _itu_spherical_diffraction(d, g.h_t, g.h_r, radius_m, frequency, polarization)
+    return free_space_loss(d, frequency) + diffraction, np.zeros(d.shape, np.uint8)
+
+
 def itu_p2001_reduced_loss(
     g: LinkGeometry,
     frequency: float,
@@ -503,18 +514,7 @@ def itu_p2001_reduced_loss(
     rather than the link's.  Raises FrequencyOutOfRange outside 30 MHz-50 GHz
     and UnsupportedTimePercentage for any time percentage other than 50.
     """
-    if not 30e6 <= frequency <= 50e9:
-        raise FrequencyOutOfRange(
-            f"{frequency / 1e6:.1f} MHz outside the 30 MHz - 50 GHz model range"
-        )
-    if itu.time_percentage != 50.0:
-        raise UnsupportedTimePercentage(
-            "only the median (T_pc = 50) path is computed by the reduced model"
-        )
-    d = distances(g.d)
-    radius_m = itu.median_effective_radius_factor * g.earth.true_radius
-    diffraction = _itu_spherical_diffraction(d, g.h_t, g.h_r, radius_m, frequency, polarization)
-    return like(g.d, free_space_loss(d, frequency) + diffraction)
+    return _checked(_itu(g, frequency, itu, polarization), g.d, frequency, g.h_t, g.h_r, g.earth)
 
 
 def log_distance_loss(d, p: LogDistanceParams):
@@ -522,9 +522,20 @@ def log_distance_loss(d, p: LogDistanceParams):
     return like(d, p.l_p0 + 10.0 * p.n * np.log10(distances(d) / p.d_0))
 
 
-def _model_losses(model_id: str, ctx: ModelContext, d: np.ndarray):
+def losses(model_id: str, ctx: ModelContext, d) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate one model at every distance of d in one vectorized pass.
+
+    What depends on the context only (wavelength, horizon and 60 %-clearance
+    distances, the horizon-value diffraction, the validity checks) is
+    computed once per call.  Returns the losses in dB and a uint8 reason code
+    per point: 0 where the point evaluated, else the errors.REASONS code of
+    the SeaLossError that evaluate_model raises there, and the point's loss
+    is nan.  A domain error of the whole context (e.g. AntennaTooHigh) is
+    every point's code.  ConfigError and non-positive distances raise.
+    """
+    d = distances(d)
     if model_id == "free-space":
-        return free_space_loss(d, ctx.frequency), no_errors(d.size)
+        return free_space_loss(d, ctx.frequency), np.zeros(d.shape, np.uint8)
     if model_id == "two-ray-flat":
         return _two_ray_flat(d, ctx.h_t, ctx.h_r, ctx.frequency)
     if model_id == "two-ray-round":
@@ -534,37 +545,17 @@ def _model_losses(model_id: str, ctx: ModelContext, d: np.ndarray):
     if model_id == "bullington":
         return _bullington(ctx.geometry_at(d), ctx.frequency)
     if model_id == "itu":
-        loss = itu_p2001_reduced_loss(ctx.geometry_at(d), ctx.frequency, ctx.itu, ctx.polarization)
-        return loss, no_errors(d.size)
+        return _itu(ctx.geometry_at(d), ctx.frequency, ctx.itu, ctx.polarization)
     if model_id == "log-distance":
         if ctx.log_distance is None:
             raise ConfigError("log-distance model requires fitted parameters in the context")
-        return log_distance_loss(d, ctx.log_distance), no_errors(d.size)
+        return log_distance_loss(d, ctx.log_distance), np.zeros(d.shape, np.uint8)
     raise ConfigError(f"unknown model id: {model_id!r}")
-
-
-def losses(model_id: str, ctx: ModelContext, d) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate one model at every distance of d in one vectorized pass.
-
-    What depends on the context only (wavelength, horizon and 60 %-clearance
-    distances, the horizon-value diffraction, the validity checks) is
-    computed once per call.  Returns the losses in dB and, per point, None or
-    the SeaLossError that evaluate_model raises there; such a point's loss is
-    nan.  A domain error of the whole context (e.g. AntennaTooHigh) becomes
-    every point's error.  ConfigError and non-positive distances raise.
-    """
-    d = distances(d)
-    try:
-        return _model_losses(model_id, ctx, d)
-    except ConfigError:
-        raise
-    except SeaLossError as exc:
-        return np.full(d.shape, np.nan), np.full(d.shape, exc, dtype=object)
 
 
 def evaluate_model(model_id: str, ctx: ModelContext, d: float) -> float:
     """Evaluate one model of the family at a single distance."""
-    return _checked(d, losses(model_id, ctx, d))
+    return _checked(losses(model_id, ctx, d), d, ctx.frequency, ctx.h_t, ctx.h_r, ctx.earth)
 
 
 def distance_grid(d_min: float, d_max: float, n_points: int, spacing: str = "log") -> list:
@@ -603,15 +594,14 @@ def sweep(
     The whole grid is one vectorized evaluation; threads is accepted for
     compatibility and ignored.
     """
-    grid = distance_grid(d_min, d_max, n_points, spacing)
-    loss, errors = losses(model_id, ctx, grid)
-    bad = failed(errors)
-    skipped = tuple(
-        (grid[i], f"{type(errors[i]).__name__}: {errors[i]}") for i in np.flatnonzero(bad)
-    )
+    grid = np.asarray(distance_grid(d_min, d_max, n_points, spacing))
+    loss, reasons = losses(model_id, ctx, grid)
+    bad = reasons != OK
+    errors = _errors(ctx.geometry_at(grid), ctx.frequency, reasons) if bad.any() else ()
+    skipped = tuple((d, f"{type(e).__name__}: {e}") for d, e in zip(grid[bad].tolist(), errors))
     return ModelCurve(
         model_id=model_id,
-        distances=tuple(np.asarray(grid)[~bad].tolist()),
+        distances=tuple(grid[~bad].tolist()),
         losses=tuple(loss[~bad].tolist()),
         skipped=skipped,
     )
@@ -643,8 +633,7 @@ def max_range(
     budget = radio.budget
 
     def closes(d) -> np.ndarray:
-        loss, errors = losses(model_id, ctx, d)
-        return ~failed(errors) & (loss <= budget)
+        return losses(model_id, ctx, d)[0] <= budget  # a failed point's nan never closes
 
     grid = np.asarray(distance_grid(d_min, d_cap, _RANGE_SCAN_POINTS, "log"))
     ok = closes(grid)

@@ -236,6 +236,37 @@ class TestAnalyze:
         pipeline = json.loads((tmp_path / "o" / "analysis.json").read_text())["pipeline"]
         assert pipeline["rejected_rows"] == [{"line": 3, "reason": "undecodable row"}]
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "quoted"])
+    def test_oversized_field_rejected_with_its_line(self, tmp_path, capsys, quoted):
+        # csv refuses a field over 131 072 characters; a quote anywhere sends
+        # the whole log through the csv-stream fallback instead of the bulk pass
+        lines = Path(C2_LOG).read_bytes().splitlines(keepends=True)
+        timestamp = b'"2020-08-15T09:00:34Z"' if quoted else b"2020-08-15T09:00:34Z"
+        log = tmp_path / "big.csv"
+        log.write_bytes(b"".join(lines[:2]) + timestamp + b",55.7,12.9,-100," + b"x" * 140_000
+                        + b"\n" + b"".join(lines[2:]))
+        code, out, err = run(
+            ["analyze", "--config", "campaign2", "--log", str(log), "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 0 and "Traceback" not in err
+        assert "parsed 325 records (1 rejected rows)" in out
+        pipeline = json.loads((tmp_path / "o" / "analysis.json").read_text())["pipeline"]
+        assert pipeline["rejected_rows"] == [
+            {"line": 3, "reason": "field larger than field limit (131072)"}
+        ]
+
+    def test_non_utf8_calibration_table_exit_2(self, tmp_path, capsys):
+        cal = tmp_path / "cal.csv"
+        cal.write_bytes(b"reported_rssi_dbm,correction_db\n-120,0.5\xff\n-100,0.0\n")
+        code, _, err = run(
+            ["analyze", "--config", "campaign2", "--log", C2_LOG, "--cal", str(cal),
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("config error: ") and "is not UTF-8 text" in err
+
     def test_undecodable_header_exit_2(self, tmp_path, capsys):
         log = tmp_path / "bad.csv"
         log.write_bytes(b"timestamp,lat,lon,rssi_dbm,\xe9t\xe9\n1597482000,55.7,12.9,-100\n")
@@ -266,6 +297,16 @@ def test_range_height_above_ceiling_exit_2(tmp_path, capsys):
     code, _, err = run(["range", "--config", too_high_config(tmp_path)], capsys)
     assert code == 2
     assert "config error" in err
+
+
+def test_non_utf8_config_exit_2(tmp_path, capsys):
+    doc = load_campaign("campaign2").to_dict()
+    doc["name"] = "\u00d8resund"
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+    code, _, err = run(["range", "--config", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and "is not UTF-8 text" in err
 
 
 def test_unknown_config_key_exit_2(tmp_path, capsys):

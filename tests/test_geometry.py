@@ -9,6 +9,7 @@ from sealoss import (
     GeoPoint,
     LinkGeometry,
     NoSpecularPoint,
+    NumericalFailure,
     critical_distance,
     fresnel60_distance,
     great_circle_distance,
@@ -16,6 +17,8 @@ from sealoss import (
     reflection_geometry,
     wavelength,
 )
+from sealoss.errors import BEYOND_HORIZON, COLLAPSED, NOT_CONVERGED, OK
+from sealoss.geometry import _specular_ground_distance, point_errors, specular_points
 
 F_MHZ_8695 = 869.5e6
 LAMBDA = wavelength(F_MHZ_8695)
@@ -180,6 +183,35 @@ class TestReflectionGeometry:
         # x + x' < l by rounding: no specular point there, not a bare ValueError
         with pytest.raises(NoSpecularPoint, match="grazing geometry collapsed"):
             reflection_geometry(link(0.35, 2.65, 7922.577))
+
+    def test_reason_codes_become_errors_at_the_boundary(self):
+        g = link(0.35, 2.65, np.array([100.0, 7922.577, 20_000.0]))
+        rg, reasons = specular_points(g)
+        assert reasons.dtype == np.uint8
+        assert reasons.tolist() == [OK, COLLAPSED, BEYOND_HORIZON]
+        assert rg.l.shape == (1,)
+        collapsed, beyond = point_errors(g, reasons)
+        assert type(collapsed) is type(beyond) is NoSpecularPoint
+        assert str(collapsed) == "grazing geometry collapsed at d = 7922.6 m"
+        assert str(beyond) == (
+            f"d = 20000.0 m is at or beyond the horizon ({horizon_distance(g):.1f} m)"
+        )
+
+    def test_non_convergence_message_from_a_one_point_solve(self):
+        # The solve is elementwise: a one-point solve ends on the same residual
+        # and scale bits as the whole-array solve, so the boundary can rebuild
+        # a non-converged point's message without a side column.
+        d = np.geomspace(1.0, 9_000.0, 50)
+        _, _, p, scale = _specular_ground_distance(0.35, 5.2, d, 6_371_000.0)
+        for i in range(d.size):
+            _, _, p_i, scale_i = _specular_ground_distance(0.35, 5.2, d[i:i + 1], 6_371_000.0)
+            assert (p_i[0].hex(), scale_i[0].hex()) == (p[i].hex(), scale[i].hex())
+        # No link is known to defeat the solver, so the code is set by hand.
+        [exc] = point_errors(link(0.35, 5.2, d[17:18]), np.array([NOT_CONVERGED]))
+        assert isinstance(exc, NumericalFailure)
+        assert str(exc) == (
+            f"specular-point cubic did not converge (residual {p[17]:.3e}, scale {scale[17]:.3e})"
+        )
 
     def test_brute_force_oracle_5km(self):
         # exact-sphere reflected-path minimisation on a 1 mm grid

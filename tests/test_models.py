@@ -1,9 +1,12 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sealoss import (
@@ -16,6 +19,7 @@ from sealoss import (
     ItuParams,
     LinkGeometry,
     LogDistanceParams,
+    MODEL_IDS,
     ModelContext,
     ModelCurve,
     NoCoverage,
@@ -28,6 +32,7 @@ from sealoss import (
     UnboundedRange,
     UnsupportedTimePercentage,
     bullington_loss,
+    compare_models,
     critical_distance,
     effective_reflection,
     evaluate_model,
@@ -46,7 +51,8 @@ from sealoss import (
     two_ray_round_earth,
     wavelength,
 )
-from sealoss.models import distance_grid
+from sealoss.errors import OK, REASONS
+from sealoss.models import distance_grid, losses
 
 F = 869.5e6
 LAMBDA = wavelength(F)
@@ -504,6 +510,77 @@ class TestFiniteness:
                 assert math.isfinite(evaluate_model(model, ctx, d))
             if d < d_h:
                 assert math.isfinite(evaluate_model("two-ray-round", ctx, d))
+
+
+class TestWholeContextErrors:
+    # A context a model cannot evaluate at all fails every point with one
+    # reason: sweep skips every point, compare_models drops the model and
+    # evaluate_model raises.
+    CASES = [
+        (
+            "bullington", dict(h_t=16.0, frequency=F), AntennaTooHigh,
+            "antenna height 16.0 m exceeds the 15 m Bullington ceiling at 870 MHz",
+        ),
+        (
+            "itu", dict(h_t=0.35, frequency=20e6), FrequencyOutOfRange,
+            "20.0 MHz outside the 30 MHz - 50 GHz model range",
+        ),
+        (
+            "itu", dict(h_t=0.35, frequency=F, itu=ItuParams(time_percentage=10.0)),
+            UnsupportedTimePercentage,
+            "only the median (T_pc = 50) path is computed by the reduced model",
+        ),
+    ]
+
+    @pytest.mark.parametrize("model, kw, cls, message", CASES,
+                             ids=["antenna-too-high", "frequency", "time-percentage"])
+    def test_every_boundary(self, model, kw, cls, message):
+        ctx = ModelContext(h_r=5.2, **kw)
+        curve = sweep(model, ctx, 100.0, 10_000.0, 5)
+        assert curve.distances == () and curve.losses == ()
+        assert curve.skipped == tuple(
+            (d, f"{cls.__name__}: {message}") for d in distance_grid(100.0, 10_000.0, 5)
+        )
+        samples = SampleSet.from_arrays([100.0, 1000.0, 5000.0], [80.0, 100.0, 120.0])
+        reports = compare_models(samples, [model, "free-space"], ctx)
+        assert [r.model_id for r in reports] == ["free-space"]
+        with pytest.raises(cls, match=f"^{re.escape(message)}$"):
+            evaluate_model(model, ctx, 1000.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h_t=st.floats(0.01, 8000.0),
+    h_r=st.floats(0.01, 8000.0),
+    frequency=st.floats(40e6, 40e9),
+    k=st.floats(0.01, 1000.0),
+    sea=st.builds(
+        SeaState,
+        sigma_h=st.floats(0.0, 100.0),
+        beta_0=st.floats(0.0, 1.6),
+        relative_permittivity=st.floats(1.0, 300.0, exclude_min=True),
+        conductivity=st.floats(0.0, 100.0),
+    ),
+    polarization=st.sampled_from(Polarization),
+    d=st.lists(st.floats(0.1, 3e6), min_size=1, max_size=24),
+)
+def test_every_point_is_a_finite_loss_or_a_reason(h_t, h_r, frequency, k, sea, polarization, d):
+    # Over the declared domain each point either evaluates (code 0, finite
+    # dB) or carries a failure code and nan; any exception fails the test.
+    ctx = ModelContext(
+        h_t=h_t, h_r=h_r, frequency=frequency, earth=EarthModel(effective_radius_factor=k),
+        sea=sea, polarization=polarization,
+        log_distance=LogDistanceParams(n=3.0, l_p0=40.0, d_0=1.0),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BullingtonValidityWarning)
+        for model in MODEL_IDS:
+            loss, reasons = losses(model, ctx, d)
+            assert reasons.dtype == np.uint8 and loss.shape == reasons.shape == (len(d),)
+            ok = reasons == OK
+            assert np.isfinite(loss[ok]).all(), model
+            assert np.isnan(loss[~ok]).all(), model
+            assert set(reasons[~ok].tolist()) <= set(REASONS), model
 
 
 class TestRadioConfigValidation:
