@@ -24,6 +24,7 @@ import numpy as np
 
 from sealoss import CalibrationTable, load_campaign
 from sealoss.errors import SeaLossError
+from sealoss.ingest import CALIBRATION_HEADER, LOG_HEADER
 from sealoss.models import losses
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "sealoss" / "data"
@@ -44,11 +45,10 @@ SHIPPED_LOGS = {
 
 
 def write_calibration_tables() -> None:
-    identity = "reported_rssi_dbm,correction_db\n-150.0,0.0\n0.0,0.0\n"
-    (DATA_DIR / "calibration_identity.csv").write_text(identity)
-    rows = ["reported_rssi_dbm,correction_db"]
-    rows += [f"{lv},{c}" for lv, c in EXAMPLE_CALIBRATION]
-    (DATA_DIR / "calibration_example.csv").write_text("\n".join(rows) + "\n")
+    for name, entries in (("identity", CalibrationTable.identity().entries),
+                          ("example", EXAMPLE_CALIBRATION)):
+        rows = [",".join(CALIBRATION_HEADER)] + [f"{lv},{c}" for lv, c in entries]
+        (DATA_DIR / f"calibration_{name}.csv").write_text("\n".join(rows) + "\n")
 
 
 def raw_from_calibrated(cal: np.ndarray, table: CalibrationTable) -> np.ndarray:
@@ -64,22 +64,18 @@ def write_log(path: Path, campaign: str, n_rows: int, d_min: float, d_max: float
     cfg = load_campaign(campaign)
     table = CalibrationTable(entries=EXAMPLE_CALIBRATION)
     rng = np.random.default_rng(seed)
-    gains = (
-        cfg.radio.tx_power + cfg.radio.tx_antenna_gain
-        + cfg.radio.rx_antenna_gain - cfg.radio.polarization_loss
-    )
     d = d_min + np.arange(n_rows) * (d_max - d_min) / (n_rows - 1)
     # Due-south meridian track: the haversine distance is exactly r_e * dlat.
     lat = cfg.bs_position.latitude - np.degrees(d / cfg.earth.true_radius)
     loss, reasons = losses("bullington", cfg.model_context(), d)
     if reasons.any():
         raise SeaLossError(f"bullington fails at {np.count_nonzero(reasons)} of {n_rows} track points")
-    raw = raw_from_calibrated(gains - (loss + rng.normal(0.0, noise_db, n_rows)), table)
+    raw = raw_from_calibrated(cfg.radio.gains - (loss + rng.normal(0.0, noise_db, n_rows)), table)
     seconds = np.datetime64(start_iso, "s") + 17 * np.arange(n_rows)
     timestamps = np.datetime_as_string(seconds, unit="s")
     lon = f"{cfg.bs_position.longitude:.7f}"
     with open(path, "w") as fh:
-        fh.write("timestamp,lat,lon,rssi_dbm\n")
+        fh.write(",".join(LOG_HEADER) + "\n")
         for i in range(0, n_rows, 100_000):  # a block of rows at a time bounds the memory
             block = zip(timestamps[i:i + 100_000], lat[i:i + 100_000].tolist(), raw[i:i + 100_000].tolist())
             fh.writelines(f"{ts}Z,{y:.7f},{lon},{r:.2f}\n" for ts, y, r in block)

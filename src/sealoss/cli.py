@@ -3,7 +3,7 @@
 Exit codes form a stable contract: 0 ok, 2 configuration/input error, 3 model
 domain error affecting all points, 4 no valid samples, 5 no coverage.  All
 artifact files are written atomically (temp then rename) and are byte-stable
-for identical inputs.  --threads is accepted for compatibility and ignored.
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -17,14 +17,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import (
+    AntennaTooHigh,
     ConfigError,
     DegenerateFit,
     EmptyLog,
+    FrequencyOutOfRange,
     HeaderMismatch,
     NoCoverage,
     NoValidSamples,
     SeaLossError,
     UnboundedRange,
+    UnsupportedTimePercentage,
 )
 from .ingest import (
     CalibrationTable,
@@ -268,7 +271,11 @@ def cmd_analyze(args) -> CommandResult:
 
 
 def cmd_range(args) -> CommandResult:
-    """Maximum distance per model where the link budget still closes."""
+    """Maximum distance per model where the link budget still closes.
+
+    A model that cannot evaluate the link at all is named with its error; the
+    exit code is 3 only when that holds for every selected model.
+    """
     cfg = _resolve_config(args)
     radio = cfg.radio
     if args.sensitivity is not None:
@@ -288,6 +295,7 @@ def cmd_range(args) -> CommandResult:
         )
     ]
     any_covered = False
+    n_unevaluable = 0
     for model_id in models:
         try:
             r = max_range(model_id, ctx, radio)
@@ -298,7 +306,11 @@ def cmd_range(args) -> CommandResult:
             any_covered = True
         except NoCoverage:
             lines.append(f"{model_id}: no coverage")
-    return CommandResult(0 if any_covered else 5, (), "\n".join(lines))
+        except (AntennaTooHigh, FrequencyOutOfRange, UnsupportedTimePercentage) as exc:
+            lines.append(f"{model_id}: {type(exc).__name__}: {exc}")
+            n_unevaluable += 1
+    exit_code = 3 if n_unevaluable == len(models) else 0 if any_covered else 5
+    return CommandResult(exit_code, (), "\n".join(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help=f"campaign config path or built-in name (default ${CONFIG_ENV_VAR})")
         p.add_argument("--models", help="comma-separated model list, 'default' or 'all'")
-        p.add_argument("--threads", type=int, default=1, help="ignored (kept for compatibility)")
 
     p_curves = sub.add_parser("curves", help="write model loss curves over a distance grid")
     add_common(p_curves)

@@ -192,8 +192,9 @@ class CalibrationTable:
             raise ValueError("corrections must be finite")
 
     @classmethod
-    def identity(cls, lo: float = -150.0, hi: float = 0.0) -> "CalibrationTable":
-        return cls(entries=((lo, 0.0), (hi, 0.0)))
+    def identity(cls) -> "CalibrationTable":
+        """Zero correction from -150 to 0 dBm."""
+        return cls(entries=((-150.0, 0.0), (0.0, 0.0)))
 
     @classmethod
     def from_csv(cls, source) -> "CalibrationTable":
@@ -770,13 +771,13 @@ def geolocate(records: Records, cfg: CampaignConfig) -> Records:
 def rssi_to_pathloss(records: Records, radio: RadioConfig) -> Records:
     """Convert calibrated RSSI to path loss through the link budget.
 
-    path_loss = tx_power + tx_gain + (rx_gain - polarization_loss) - rssi.
+    path_loss = radio.gains - rssi (tx_power plus both antenna gains, less the
+    polarization loss).
     Raises MissingCalibration on uncalibrated records.
     """
     if records.calibrated_rssi is None:
         raise MissingCalibration("apply_calibration must run before the link budget")
-    gains = radio.tx_power + radio.tx_antenna_gain + radio.rx_antenna_gain - radio.polarization_loss
-    return replace(records, path_loss=gains - records.calibrated_rssi)
+    return replace(records, path_loss=radio.gains - records.calibrated_rssi)
 
 
 def to_sample_set(records: Records, source_id: str = "measurements") -> SampleSet:

@@ -88,15 +88,14 @@ class RadioConfig:
                 raise ValueError(f"{name} must be finite")
 
     @property
+    def gains(self) -> float:
+        """Transmit power plus antenna gains less polarization loss, in dB(m)."""
+        return self.tx_power + self.tx_antenna_gain + self.rx_antenna_gain - self.polarization_loss
+
+    @property
     def budget(self) -> float:
         """Maximum tolerable path loss: powers and gains against sensitivity."""
-        return (
-            self.tx_power
-            + self.tx_antenna_gain
-            + self.rx_antenna_gain
-            - self.polarization_loss
-            - self.rx_sensitivity
-        )
+        return self.gains - self.rx_sensitivity
 
 
 @dataclass(frozen=True)
@@ -260,15 +259,14 @@ def _first_term_diffraction(
     radius_m,
     frequency: float,
     polarization: Polarization,
-    permittivity: float,
-    conductivity: float,
 ):
     """First-term residue-series smooth-sphere attenuation, dB over free space.
 
     Normalized-coordinate form (distance term F(X) plus height-gain terms
-    G(Y)) with the surface-admittance factor K and ground parameter beta; the
-    inner formulas are bound to GHz / km / m units.  d_m and radius_m may be
-    arrays of the same shape.
+    G(Y)) with the surface-admittance factor K and ground parameter beta for
+    sea water (SEA_PERMITTIVITY, SEA_CONDUCTIVITY); the inner formulas are
+    bound to GHz / km / m units.  d_m and radius_m may be arrays of the same
+    shape.
     """
     f_ghz = frequency / 1e9
     a_km = radius_m / 1000.0
@@ -276,10 +274,10 @@ def _first_term_diffraction(
     k_factor = (
         0.036
         * (a_km * f_ghz) ** (-1.0 / 3.0)
-        * ((permittivity - 1.0) ** 2 + (18.0 * conductivity / f_ghz) ** 2) ** (-1.0 / 4.0)
+        * ((SEA_PERMITTIVITY - 1.0) ** 2 + (18.0 * SEA_CONDUCTIVITY / f_ghz) ** 2) ** (-1.0 / 4.0)
     )
     if polarization is not Polarization.HORIZONTAL:
-        k_factor = k_factor * math.sqrt(permittivity ** 2 + (18.0 * conductivity / f_ghz) ** 2)
+        k_factor = k_factor * math.sqrt(SEA_PERMITTIVITY ** 2 + (18.0 * SEA_CONDUCTIVITY / f_ghz) ** 2)
     k2 = k_factor * k_factor
     beta = (1.0 + 1.6 * k2 + 0.67 * k2 * k2) / (1.0 + 4.5 * k2 + 1.53 * k2 * k2)
 
@@ -305,21 +303,15 @@ def _first_term_diffraction(
         return -f_x - height_gain(h_t) - height_gain(h_r)
 
 
-def smooth_earth_diffraction_loss(
-    g: LinkGeometry,
-    frequency: float,
-    polarization: Polarization = Polarization.VERTICAL,
-    permittivity: float = SEA_PERMITTIVITY,
-    conductivity: float = SEA_CONDUCTIVITY,
-):
+def smooth_earth_diffraction_loss(g: LinkGeometry, frequency: float):
     """Smooth-sea spherical-earth diffraction loss in dB over free space.
 
-    First-term residue-series attenuation with the link's effective earth
-    radius; floored at 0 dB where the term would predict gain at short range.
+    First-term residue-series attenuation, vertical-polarized, over sea water
+    with the link's effective earth radius; floored at 0 dB where the term
+    would predict gain at short range.
     """
     loss = _first_term_diffraction(
-        distances(g.d), g.h_t, g.h_r, g.earth.effective_radius, frequency,
-        polarization, permittivity, conductivity,
+        distances(g.d), g.h_t, g.h_r, g.earth.effective_radius, frequency, Polarization.VERTICAL
     )
     return like(g.d, np.maximum(0.0, loss))
 
@@ -448,10 +440,7 @@ def _itu_spherical_diffraction(
     lam = wavelength(frequency)
 
     def first_term(d_m, adft_km):
-        return _first_term_diffraction(
-            d_m, h_t, h_r, adft_km * 1000.0, frequency,
-            polarization, SEA_PERMITTIVITY, SEA_CONDUCTIVITY,
-        )
+        return _first_term_diffraction(d_m, h_t, h_r, adft_km * 1000.0, frequency, polarization)
 
     loss = np.zeros(d_m.shape)
     d_los = math.sqrt(2.0 * a_km) * (math.sqrt(0.001 * h_t) + math.sqrt(0.001 * h_r))
@@ -585,14 +574,12 @@ def sweep(
     d_max: float,
     n_points: int,
     spacing: str = "log",
-    threads: int = 1,
 ) -> ModelCurve:
     """Evaluate a model over a distance grid into a ModelCurve.
 
     Distances where the model raises a domain error (e.g. a beyond-horizon
     two-ray) are recorded in the curve's skipped list rather than fabricated.
-    The whole grid is one vectorized evaluation; threads is accepted for
-    compatibility and ignored.
+    The whole grid is one vectorized evaluation.
     """
     grid = np.asarray(distance_grid(d_min, d_max, n_points, spacing))
     loss, reasons = losses(model_id, ctx, grid)
@@ -612,35 +599,34 @@ _RANGE_SCAN_POINTS = 2048
 _RANGE_SECTIONS = np.arange(1, 33) / 33.0
 
 
-def max_range(
-    model_id: str,
-    ctx: ModelContext,
-    radio: RadioConfig,
-    d_min: float = 1.0,
-    d_cap: float = MAX_RANGE_CAP,
-) -> float:
+def max_range(model_id: str, ctx: ModelContext, radio: RadioConfig) -> float:
     """Largest distance at which the link budget still closes, in metres.
 
-    A dense logarithmic scan locates the outermost distance where the
-    predicted loss stays within the budget (robust against the oscillatory
-    two-ray region).  The crossing is then refined by k-section: each round
-    evaluates 32 interior points of the bracket at once and keeps the
-    outermost closes-to-fails step, until no float lies inside the bracket.
+    A dense logarithmic scan from 1 m to MAX_RANGE_CAP locates the outermost
+    distance where the predicted loss stays within the budget (robust against
+    the oscillatory two-ray region).  The crossing is then refined by
+    k-section: each round evaluates 32 interior points of the bracket at once
+    and keeps the outermost closes-to-fails step, until no float lies inside
+    the bracket.
 
-    Raises NoCoverage if the budget fails even at d_min and UnboundedRange if
-    it still holds at the search cap.
+    Raises the model's domain error (e.g. AntennaTooHigh) for a context it
+    cannot evaluate at all, NoCoverage if the budget fails even at 1 m and
+    UnboundedRange if it still holds at the search cap.
     """
     budget = radio.budget
 
     def closes(d) -> np.ndarray:
         return losses(model_id, ctx, d)[0] <= budget  # a failed point's nan never closes
 
-    grid = np.asarray(distance_grid(d_min, d_cap, _RANGE_SCAN_POINTS, "log"))
-    ok = closes(grid)
+    grid = np.asarray(distance_grid(1.0, MAX_RANGE_CAP, _RANGE_SCAN_POINTS, "log"))
+    loss, reasons = losses(model_id, ctx, grid)
+    if reasons[0] >= ANTENNA_TOO_HIGH:  # a whole-context failure, which every point carries
+        raise next(_errors(ctx.geometry_at(grid[:1]), ctx.frequency, reasons[:1]))
+    ok = loss <= budget
     if ok[-1]:
-        raise UnboundedRange(d_cap)
+        raise UnboundedRange(MAX_RANGE_CAP)
     if not ok.any():
-        raise NoCoverage(f"budget {budget:.1f} dB fails even at {d_min:.0f} m")
+        raise NoCoverage(f"budget {budget:.1f} dB fails even at 1 m")
     last = np.flatnonzero(ok)[-1]
     lo, hi = grid[last], grid[last + 1]
     while True:

@@ -185,9 +185,12 @@ def shadowing_factor(grazing_angle, sea: SeaState):
         raise ValueError("grazing angle must be positive")
     if sea.beta_0 == 0.0:
         return like(grazing_angle, np.ones_like(psi))
-    v = np.tan(psi) / (math.sqrt(2.0) * sea.beta_0)
-    erfc_v = _erfc(v).astype(float)
-    lam = (np.exp(-v * v) / (v * math.sqrt(math.pi)) - erfc_v) / 2.0
+    # A tiny beta_0 sends v to inf, where Lambda is 0 and S exactly 1; the
+    # overflow on the way there is expected, not a fault.
+    with np.errstate(over="ignore"):
+        v = np.tan(psi) / (math.sqrt(2.0) * sea.beta_0)
+        erfc_v = _erfc(v).astype(float)
+        lam = (np.exp(-v * v) / (v * math.sqrt(math.pi)) - erfc_v) / 2.0
     return like(grazing_angle, (1.0 - erfc_v / 2.0) / (lam + 1.0))
 
 
@@ -210,24 +213,17 @@ def effective_reflection_at(
     frequency: float,
     sea: SeaState,
     pol: Polarization = Polarization.VERTICAL,
-    include_roughness: bool = True,
-    include_shadowing: bool = True,
-    include_divergence: bool = True,
-    roughness_method: str = "miller-brown",
 ) -> EffectiveReflection:
     """Compose Fresnel x roughness x shadowing x divergence at solved specular points.
 
-    rg holds numbers or arrays (one entry per point); only g's earth model is
-    used.  A factor that is toggled off enters as 1.
+    The roughness factor is Miller-Brown's.  rg holds numbers or arrays (one
+    entry per point); only g's earth model is used.
     """
     psi = rg.grazing_angle
     fresnel = fresnel_reflection(psi, frequency, sea, pol)
-    rho = (
-        roughness_factor(psi, wavelength(frequency), sea, roughness_method)
-        if include_roughness else 1.0
-    )
-    shadow = shadowing_factor(psi, sea) if include_shadowing else 1.0
-    div = divergence_factor(rg, g) if include_divergence else 1.0
+    rho = roughness_factor(psi, wavelength(frequency), sea)
+    shadow = shadowing_factor(psi, sea)
+    div = divergence_factor(rg, g)
     return EffectiveReflection(
         magnitude=abs(fresnel) * rho * shadow * div,
         phase=like(psi, np.angle(fresnel)),
@@ -243,19 +239,12 @@ def effective_reflection(
     frequency: float,
     sea: SeaState,
     pol: Polarization = Polarization.VERTICAL,
-    include_roughness: bool = True,
-    include_shadowing: bool = True,
-    include_divergence: bool = True,
-    roughness_method: str = "miller-brown",
 ) -> EffectiveReflection:
     """Compose Fresnel x roughness x shadowing x divergence for a link.
 
-    Each statistical factor can be toggled off (it then enters as 1) so the
-    contributions stay auditable one at a time.  Raises NoSpecularPoint
+    Every factor stays on the result (EffectiveReflection.components), so the
+    contributions are auditable one at a time.  Raises NoSpecularPoint
     beyond the horizon (propagated from the geometry).  For an array of
     distances every field is an array.
     """
-    return effective_reflection_at(
-        reflection_geometry(g), g, frequency, sea, pol,
-        include_roughness, include_shadowing, include_divergence, roughness_method,
-    )
+    return effective_reflection_at(reflection_geometry(g), g, frequency, sea, pol)

@@ -187,16 +187,15 @@ def test_criterion_8_pipeline_determinism(tmp_path, capsys):
     log = str(builtin_data_path("synthetic_campaign2_log.csv"))
     cal = str(builtin_data_path("calibration_example.csv"))
 
-    def run(out, threads):
-        argv = ["analyze", "--config", "campaign2", "--log", log, "--cal", cal,
-                "--out", str(out), "--threads", str(threads)]
+    def run(out):
+        argv = ["analyze", "--config", "campaign2", "--log", log, "--cal", cal, "--out", str(out)]
         assert main(argv) == 0
         capsys.readouterr()
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    a = run(tmp_path / "a", 1)
-    b = run(tmp_path / "b", 1)
-    c = run(tmp_path / "c", 4)
+    a = run(tmp_path / "a")
+    b = run(tmp_path / "b")
+    c = run(tmp_path / "c")
     ok = a == b == c
     _verdict(8, "pipeline determinism", ok, f"{len(a)} artifacts byte-compared")
 

@@ -68,7 +68,7 @@ class TestCurves:
                 "--points", "64", "--out"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(args + [str(a)], capsys)[0] == 0
-        assert run(args + [str(b), "--threads", "3"], capsys)[0] == 0
+        assert run(args + [str(b)], capsys)[0] == 0
         files = read_dir(a)
         assert files == read_dir(b)
         assert len([n for n in files if n.startswith("curve_")]) == 5  # default model family
@@ -176,10 +176,10 @@ class TestAnalyze:
         rows = list(csv.reader(io.StringIO((tmp_path / "samples.csv").read_text())))
         assert len(rows) - 1 <= 12
 
-    def test_deterministic_across_runs_and_threads(self, tmp_path, capsys):
+    def test_deterministic_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.analyze(a, capsys)[0] == 0
-        assert self.analyze(b, capsys, extra=["--threads", "4"])[0] == 0
+        assert self.analyze(b, capsys)[0] == 0
         assert read_dir(a) == read_dir(b)
 
     def test_degenerate_single_distance_exit_4(self, tmp_path, capsys):
@@ -291,6 +291,22 @@ def test_curves_height_above_ceiling_exit_2(tmp_path, capsys):
                         "--out", str(tmp_path / "o")], capsys)
     assert code == 2
     assert "config error" in err
+
+
+def test_range_names_an_unevaluable_model(tmp_path, capsys):
+    # A 16 m antenna at 869.5 MHz is above Bullington's 15 m ceiling.
+    doc = load_campaign("campaign2").to_dict()
+    doc["geometry"]["tx_height_m"] = 16.0
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["range", "--config", str(path), "--models", "all"], capsys)
+    assert code == 0
+    assert ("bullington: AntennaTooHigh: antenna height 16.0 m exceeds the 15 m "
+            "Bullington ceiling at 870 MHz") in out.splitlines()
+    assert "itu: max range" in out
+    code, _, err = run(["range", "--config", str(path), "--models", "bullington"], capsys)
+    assert code == 3
+    assert "bullington: AntennaTooHigh" in err
 
 
 def test_range_height_above_ceiling_exit_2(tmp_path, capsys):

@@ -413,11 +413,6 @@ class TestSweep:
         assert all("NoSpecularPoint" in reason for _, reason in curve.skipped)
         assert len(curve.distances) + len(curve.skipped) == 10
 
-    def test_thread_count_does_not_change_results(self):
-        a = sweep("rel", self.ctx(), 100.0, 9000.0, 50, threads=1)
-        b = sweep("rel", self.ctx(), 100.0, 9000.0, 50, threads=4)
-        assert a == b
-
     def test_linear_spacing(self):
         curve = sweep("free-space", self.ctx(), 100.0, 200.0, 3, spacing="linear")
         assert curve.distances == (100.0, 150.0, 200.0)
@@ -514,8 +509,8 @@ class TestFiniteness:
 
 class TestWholeContextErrors:
     # A context a model cannot evaluate at all fails every point with one
-    # reason: sweep skips every point, compare_models drops the model and
-    # evaluate_model raises.
+    # reason: sweep skips every point, compare_models drops the model, and
+    # evaluate_model and max_range raise.
     CASES = [
         (
             "bullington", dict(h_t=16.0, frequency=F), AntennaTooHigh,
@@ -546,6 +541,8 @@ class TestWholeContextErrors:
         assert [r.model_id for r in reports] == ["free-space"]
         with pytest.raises(cls, match=f"^{re.escape(message)}$"):
             evaluate_model(model, ctx, 1000.0)
+        with pytest.raises(cls, match=f"^{re.escape(message)}$"):
+            max_range(model, ctx, RadioConfig(frequency=ctx.frequency, tx_power=14.0))
 
 
 @settings(max_examples=300, deadline=None)
