@@ -174,7 +174,7 @@ def cmd_analyze(args) -> CommandResult:
     records = geolocate(records, cfg)
     records = rssi_to_pathloss(records, cfg.radio)
     try:
-        samples = to_sample_set(records, source_id=cfg.name)
+        samples = to_sample_set(records)
         metric_samples = bin_samples(samples, args.bins) if args.bins else samples
         fit = fit_log_distance(metric_samples, cfg.log_distance_reference)
     except (NoValidSamples, DegenerateFit) as exc:

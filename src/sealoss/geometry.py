@@ -23,6 +23,14 @@ EARTH_RADIUS = 6_371_000.0      # mean earth radius, m
 MAX_ANTENNA_HEIGHT = 10_000.0
 
 
+def check_heights(h_t: float, h_r: float) -> None:
+    """Raise ValueError unless both antenna heights lie in (0, MAX_ANTENNA_HEIGHT] metres."""
+    if not h_t > 0 or not h_r > 0:
+        raise ValueError("antenna heights must be positive")
+    if h_t > MAX_ANTENNA_HEIGHT or h_r > MAX_ANTENNA_HEIGHT:
+        raise ValueError(f"antenna heights above {MAX_ANTENNA_HEIGHT} m are not supported")
+
+
 def as_array(x) -> np.ndarray:
     """x (a number or a sequence of them) as a 1-D float array."""
     return np.atleast_1d(np.asarray(x, dtype=float))
@@ -104,10 +112,7 @@ class LinkGeometry:
     earth: EarthModel = field(default_factory=EarthModel)
 
     def __post_init__(self):
-        if not self.h_t > 0 or not self.h_r > 0:
-            raise ValueError("antenna heights must be positive")
-        if self.h_t > MAX_ANTENNA_HEIGHT or self.h_r > MAX_ANTENNA_HEIGHT:
-            raise ValueError(f"antenna heights above {MAX_ANTENNA_HEIGHT} m are not supported")
+        check_heights(self.h_t, self.h_r)
         if not np.all(self.d > 0):
             raise ValueError("distance must be positive")
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import operator
@@ -51,7 +50,7 @@ from .errors import (
     MissingCalibration,
     NoValidSamples,
 )
-from .geometry import MAX_ANTENNA_HEIGHT, EarthModel, GeoPoint, haversine_distance
+from .geometry import EarthModel, GeoPoint, check_heights, haversine_distance
 from .metrics import SampleSet
 from .models import ItuParams, ModelContext, RadioConfig
 from .sea import Polarization, SeaState
@@ -103,7 +102,7 @@ class Records:
 
     calibrated_rssi, distance and path_loss stay None until the stage that
     computes them has run; flags is a bitmask of the FLAG_NAMES bits.
-    Records compares equal to any sequence of the same row views.
+    Indexing and iteration give MeasurementRecord row views.
     """
 
     timestamp: np.ndarray
@@ -141,11 +140,6 @@ class Records:
         n = len(self)
         columns = [[None] * n if c is None else c.tolist() for c in self._columns()]
         return (_row_view(*row) for row in zip(*columns))
-
-    def __eq__(self, other):
-        if not isinstance(other, (Records, tuple, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def _row_view(timestamp, lat, lon, raw, flags, calibrated, distance, path_loss) -> MeasurementRecord:
@@ -236,11 +230,6 @@ class CalibrationTable:
         c = np.where(x <= levels[0], corr[0], np.where(x >= levels[-1], corr[-1], inner))
         return c, (x < levels[0]) | (x > levels[-1])
 
-    def correction_at(self, reported_rssi: float) -> tuple[float, bool]:
-        """Interpolated correction and whether the level was clamped to the table edge."""
-        c, clamped = self.corrections(np.array([reported_rssi], dtype=float))
-        return c.item(), clamped.item()
-
 
 @dataclass(frozen=True)
 class ExclusionZone:
@@ -282,10 +271,7 @@ class CampaignConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.tx_height > 0 or not self.rx_height > 0:
-            raise ValueError("antenna heights must be positive")
-        if self.tx_height > MAX_ANTENNA_HEIGHT or self.rx_height > MAX_ANTENNA_HEIGHT:
-            raise ValueError(f"antenna heights above {MAX_ANTENNA_HEIGHT} m are not supported")
+        check_heights(self.tx_height, self.rx_height)
         if not self.log_distance_reference > 0:
             raise ValueError("log-distance reference must be positive")
 
@@ -491,9 +477,9 @@ def parse_log(source) -> ParsedLog:
         # Decoded a block at a time, so the log's text is never held whole.
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
                                 newline="")
-        rows = csv.reader(text)
-        _check_header(next(rows, None))
-        _, columns, rejects = _parse_rows(itertools.count(2), rows)
+        reader = csv.reader(text)
+        _check_header(next(reader, None))
+        _, columns, rejects = _parse_rows(reader)
     else:
         columns, rejects = _parse_lines(data)
     if not len(columns[0]):
@@ -558,18 +544,21 @@ def _parse_row(row: list):
     return ts, lat, lon, rssi
 
 
-def _parse_rows(line_numbers, rows):
-    """Parse a csv reader's rows one at a time, numbered by line_numbers; skip blank rows.
+def _parse_rows(reader):
+    """Parse a csv reader's rows one at a time; skip blank rows.
 
-    A row the reader refuses (a field over csv's size limit) is rejected with
+    Each row is numbered by the line of the reader's input it starts on, so a
+    row after a quoted field that spans lines keeps its own line number.  A
+    row the reader refuses (a field over csv's size limit) is rejected with
     the reader's message and no text; the reader goes on with the next row.
     Returns the accepted rows' line numbers, their timestamp, lat, lon and
     rssi columns, and the rejects.
     """
     lines, values, rejects = array("q"), array("d"), []
-    for line_no in line_numbers:
+    while True:
+        line_no = reader.line_num + 1
         try:
-            row = next(rows)
+            row = next(reader)
         except StopIteration:
             break
         except csv.Error as exc:
@@ -632,7 +621,10 @@ def _parse_lines(data: bytes) -> tuple:
         columns.append(proven_columns)
         line_no += len(ok)
         pos = stop
-    lines, deferred_columns, rejects = _parse_rows(deferred, csv.reader(deferred_text))
+    lines, deferred_columns, rejects = _parse_rows(csv.reader(deferred_text))
+    # Line k of the deferred text is the file's line deferred[k - 1].
+    lines = [deferred[k - 1] for k in lines]
+    rejects = [(deferred[k - 1], *reject) for k, *reject in rejects]
     columns = [np.concatenate(c) for c in zip(*columns)] or deferred_columns
     if lines:
         # A row _parse_row accepted goes after the proven rows of the lines before it.
@@ -780,8 +772,8 @@ def rssi_to_pathloss(records: Records, radio: RadioConfig) -> Records:
     return replace(records, path_loss=radio.gains - records.calibrated_rssi)
 
 
-def to_sample_set(records: Records, source_id: str = "measurements") -> SampleSet:
-    """Extract (distance, path loss) pairs, dropping excluded records here only.
+def to_sample_set(records: Records) -> SampleSet:
+    """The distances and path losses of the records, dropping excluded records here only.
 
     Output is sorted by distance.  Raises NoValidSamples when nothing remains.
     """
@@ -790,4 +782,4 @@ def to_sample_set(records: Records, source_id: str = "measurements") -> SampleSe
         raise NoValidSamples("no usable samples after exclusions")
     distance, path_loss = records.distance[kept], records.path_loss[kept]
     order = np.argsort(distance, kind="stable")
-    return SampleSet.from_arrays(distance[order], path_loss[order], source_id=source_id)
+    return SampleSet(distance[order], path_loss[order])

@@ -1,10 +1,9 @@
-"""Least-squares log-distance fitting and RMSE/MAE model comparison."""
+"""Measured path-loss samples, least-squares log-distance fitting and RMSE/MAE model comparison."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -12,58 +11,30 @@ from .errors import OK, DegenerateFit, LengthMismatch
 from .models import LogDistanceParams, ModelContext, losses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Measured (distance, loss) pairs from one source.
+    """Measured path loss: read-only float64 copies of the distances (m) and losses (dB) given."""
 
-    distances and losses are read-only arrays: built once from the pairs, or
-    copied once from the arrays given to from_arrays, in which case the pairs
-    are built on first use.
-    """
-
-    pairs: tuple
-    source_id: str = "samples"
+    distances: np.ndarray
+    losses: np.ndarray
 
     def __post_init__(self):
-        if not (self.distances > 0).all():
-            raise ValueError("sample distances must be positive")
-
-    @classmethod
-    def from_arrays(cls, distances, losses, source_id: str = "samples") -> "SampleSet":
+        distances, losses = np.array(self.distances, dtype=float), np.array(self.losses, dtype=float)
         if len(distances) != len(losses):
             raise LengthMismatch("distances and losses must have equal length")
-        samples = cls.__new__(cls)
-        # Frozen: source_id and the cached arrays go straight into __dict__.
-        samples.__dict__.update(source_id=source_id,
-                                distances=_read_only(np.array(distances, dtype=float)),
-                                losses=_read_only(np.array(losses, dtype=float)))
-        samples.__post_init__()
-        return samples
+        if not (distances > 0).all():
+            raise ValueError("sample distances must be positive")
+        for name, a in (("distances", distances), ("losses", losses)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
-    def __getattr__(self, name):
-        # Reached only for the pairs of a set made by from_arrays.  A binned
-        # analysis never reads them; on a 1e6-row log they would take ~145 MB.
-        if name != "pairs" or "distances" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        pairs = tuple(zip(self.distances.tolist(), self.losses.tolist()))
-        self.__dict__["pairs"] = pairs
-        return pairs
-
-    @cached_property
-    def distances(self) -> np.ndarray:
-        return _read_only(np.array([d for d, _ in self.pairs], dtype=float))
-
-    @cached_property
-    def losses(self) -> np.ndarray:
-        return _read_only(np.array([l for _, l in self.pairs], dtype=float))
+    @property
+    def pairs(self) -> tuple:
+        """The (distance, loss) tuples, built only when read: a binned analysis never reads them."""
+        return tuple(zip(self.distances.tolist(), self.losses.tolist()))
 
     def __len__(self) -> int:
         return len(self.distances)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -158,16 +129,17 @@ def compare_models(samples: SampleSet, model_ids, ctx: ModelContext) -> list:
 
 
 def bin_samples(samples: SampleSet, n_bins: int) -> SampleSet:
-    """Average samples into log-spaced distance bins (mean distance, mean loss)."""
+    """Average samples into log-spaced distance bins (mean distance, mean loss); drop empty bins."""
     if n_bins < 1:
         raise ValueError("need at least one bin")
     d, y = samples.distances, samples.losses
     edges = np.logspace(math.log10(d.min()), math.log10(d.max()), n_bins + 1)
     edges[-1] *= 1.0 + 1e-12  # keep the max sample inside the last bin
     idx = np.digitize(d, edges) - 1
-    pairs = []
+    distances, losses = [], []
     for b in range(n_bins):
         mask = idx == b
         if mask.any():
-            pairs.append((float(d[mask].mean()), float(y[mask].mean())))
-    return SampleSet(pairs=tuple(pairs), source_id=f"{samples.source_id}[binned {n_bins}]")
+            distances.append(d[mask].mean())
+            losses.append(y[mask].mean())
+    return SampleSet(distances, losses)

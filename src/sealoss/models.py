@@ -34,6 +34,7 @@ from .errors import (
 from .geometry import (
     EarthModel,
     LinkGeometry,
+    check_heights,
     distances,
     fresnel60_distance,
     horizon_distance,
@@ -151,6 +152,7 @@ class ModelContext:
 
     The antenna heights and earth model act as the link template;
     geometry_at(d) gives the link geometry at a distance or an array of them.
+    Heights outside (0, MAX_ANTENNA_HEIGHT] raise ValueError for every model.
     """
 
     h_t: float
@@ -161,6 +163,9 @@ class ModelContext:
     polarization: Polarization = Polarization.VERTICAL
     itu: ItuParams = field(default_factory=ItuParams)
     log_distance: LogDistanceParams | None = None
+
+    def __post_init__(self):
+        check_heights(self.h_t, self.h_r)
 
     def geometry_at(self, d) -> LinkGeometry:
         return LinkGeometry(h_t=self.h_t, h_r=self.h_r, d=d, earth=self.earth)
@@ -594,7 +599,9 @@ def sweep(
     )
 
 
-_RANGE_SCAN_POINTS = 2048
+# The scan grid of max_range, 2048 log-spaced points from 1 m to MAX_RANGE_CAP.
+_RANGE_GRID = np.asarray(distance_grid(1.0, MAX_RANGE_CAP, 2048, "log"))
+_RANGE_GRID.flags.writeable = False
 # Interior points per refinement round of max_range.
 _RANGE_SECTIONS = np.arange(1, 33) / 33.0
 
@@ -618,17 +625,16 @@ def max_range(model_id: str, ctx: ModelContext, radio: RadioConfig) -> float:
     def closes(d) -> np.ndarray:
         return losses(model_id, ctx, d)[0] <= budget  # a failed point's nan never closes
 
-    grid = np.asarray(distance_grid(1.0, MAX_RANGE_CAP, _RANGE_SCAN_POINTS, "log"))
-    loss, reasons = losses(model_id, ctx, grid)
+    loss, reasons = losses(model_id, ctx, _RANGE_GRID)
     if reasons[0] >= ANTENNA_TOO_HIGH:  # a whole-context failure, which every point carries
-        raise next(_errors(ctx.geometry_at(grid[:1]), ctx.frequency, reasons[:1]))
+        raise next(_errors(ctx.geometry_at(_RANGE_GRID[:1]), ctx.frequency, reasons[:1]))
     ok = loss <= budget
     if ok[-1]:
         raise UnboundedRange(MAX_RANGE_CAP)
     if not ok.any():
         raise NoCoverage(f"budget {budget:.1f} dB fails even at 1 m")
     last = np.flatnonzero(ok)[-1]
-    lo, hi = grid[last], grid[last + 1]
+    lo, hi = _RANGE_GRID[last], _RANGE_GRID[last + 1]
     while True:
         inner = lo + (hi - lo) * _RANGE_SECTIONS
         inner = inner[(lo < inner) & (inner < hi)]

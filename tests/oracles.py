@@ -268,12 +268,15 @@ def reference_ingest(text: str, entries, bs, radius: float, zones, gains: float,
     ascending order, bs the base station's (lat, lon), zones a sequence of
     (kind, start, end) and gains the link budget's tx power plus gains minus
     polarization loss.  Returns one dict per well-formed row and the rejects
-    as (line number, reason).
+    as (line number, reason).  A row's number is the line it starts on, where
+    a bare carriage return also ends a line, as in a file csv reads.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     next(reader)
     rows, rejects = [], []
-    for line_no, row in enumerate(reader, start=2):
+    next_line = reader.line_num + 1
+    for row in reader:
+        line_no, next_line = next_line, reader.line_num + 1
         if not row or all(not c.strip() for c in row):
             continue
         parsed = _reference_row(row)

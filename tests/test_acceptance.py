@@ -121,7 +121,7 @@ def test_criterion_5_fit_recovery():
     exact_ok = True
     for n_true, lp0_true in ((2.0, 70.0), (4.0, 80.0), (3.25, 95.5)):
         losses = [lp0_true + 10.0 * n_true * math.log10(d / 100.0) for d in grid]
-        fit = fit_log_distance(SampleSet.from_arrays(grid, losses), 100.0)
+        fit = fit_log_distance(SampleSet(grid, losses), 100.0)
         exact_ok &= abs(fit.n - n_true) < 1e-9 and abs(fit.l_p0 - lp0_true) < 1e-9
 
     hits = 0
@@ -131,7 +131,7 @@ def test_criterion_5_fit_recovery():
             lp0_true + 10.0 * n_true * math.log10(d / 100.0) + rng.normal(0.0, 3.0)
             for d in grid
         ]
-        fit = fit_log_distance(SampleSet.from_arrays(grid, losses), 100.0)
+        fit = fit_log_distance(SampleSet(grid, losses), 100.0)
         _, _, se = oracles.normal_equations_fit(grid, losses, 100.0)
         if abs(fit.n - n_true) <= 3.0 * se:
             hits += 1
@@ -144,7 +144,7 @@ def test_criterion_6_synthetic_replica_ordering():
     rng = np.random.default_rng(606)
     grid = distance_grid(150.0, 9790.0, 300, "log")
     losses = [evaluate_model("bullington", ctx, d) + rng.normal(0.0, 2.0) for d in grid]
-    samples = SampleSet.from_arrays(grid, losses, "replica")
+    samples = SampleSet(grid, losses)
     reports = compare_models(
         samples, ["free-space", "two-ray-flat", "rel", "bullington", "itu"], ctx
     )

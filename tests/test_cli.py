@@ -146,7 +146,7 @@ class TestAnalyze:
         cfg = load_campaign("campaign2")
         ctx = cfg.model_context()
         grid = distance_grid(150.0, 9790.0, 300, "log")
-        clean = SampleSet.from_arrays(grid, [evaluate_model("bullington", ctx, d) for d in grid])
+        clean = SampleSet(grid, [evaluate_model("bullington", ctx, d) for d in grid])
         n_clean = fit_log_distance(clean, 100.0).n
         assert abs(doc["fit"]["n"] - n_clean) < 0.25
 

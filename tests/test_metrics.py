@@ -29,7 +29,7 @@ def synth_samples(params: LogDistanceParams, grid, noise=None):
     losses = [log_distance_loss(d, params) for d in grid]
     if noise is not None:
         losses = [l + e for l, e in zip(losses, noise)]
-    return SampleSet.from_arrays(grid, losses)
+    return SampleSet(grid, losses)
 
 
 class TestFitLogDistance:
@@ -41,7 +41,7 @@ class TestFitLogDistance:
 
     def test_free_space_samples_give_n2(self):
         grid = distance_grid(50.0, 8000.0, 80, "log")
-        samples = SampleSet.from_arrays(grid, [free_space_loss(d, F) for d in grid])
+        samples = SampleSet(grid, [free_space_loss(d, F) for d in grid])
         fit = fit_log_distance(samples, 100.0)
         assert fit.n == pytest.approx(2.0, abs=1e-9)
         assert fit.l_p0 == pytest.approx(free_space_loss(100.0, F), abs=1e-9)
@@ -65,7 +65,7 @@ class TestFitLogDistance:
         shuffled = list(samples.pairs)
         rng.shuffle(shuffled)
         fit_a = fit_log_distance(samples, 100.0)
-        fit_b = fit_log_distance(SampleSet(pairs=tuple(shuffled)), 100.0)
+        fit_b = fit_log_distance(SampleSet([d for d, _ in shuffled], [l for _, l in shuffled]), 100.0)
         assert fit_a.n == pytest.approx(fit_b.n, abs=1e-12)
 
     def test_reference_rescale_identity(self):
@@ -81,11 +81,11 @@ class TestFitLogDistance:
         )
 
     def test_degenerate_fit(self):
-        samples = SampleSet(pairs=((100.0, 80.0), (100.0, 82.0), (100.0, 85.0)))
+        samples = SampleSet([100.0, 100.0, 100.0], [80.0, 82.0, 85.0])
         with pytest.raises(DegenerateFit):
             fit_log_distance(samples, 100.0)
         with pytest.raises(DegenerateFit):
-            fit_log_distance(SampleSet(pairs=((100.0, 80.0),)), 100.0)
+            fit_log_distance(SampleSet([100.0], [80.0]), 100.0)
 
 
 class TestMetrics:
@@ -136,7 +136,7 @@ class TestCompareModels:
 
     def test_self_consistency_free_space(self):
         grid = distance_grid(100.0, 9000.0, 50, "log")
-        samples = SampleSet.from_arrays(grid, [free_space_loss(d, F) for d in grid])
+        samples = SampleSet(grid, [free_space_loss(d, F) for d in grid])
         reports = compare_models(samples, ["bullington", "free-space", "itu"], self.ctx())
         assert reports[0].model_id == "free-space"
         assert reports[0].rmse == 0.0
@@ -157,7 +157,7 @@ class TestCompareModels:
 
     def test_exclusion_counting_beyond_horizon(self):
         grid = [5000.0, 9000.0, 11_000.0, 12_000.0]
-        samples = SampleSet.from_arrays(grid, [140.0, 150.0, 160.0, 165.0])
+        samples = SampleSet(grid, [140.0, 150.0, 160.0, 165.0])
         reports = compare_models(samples, ["two-ray-round", "free-space"], self.ctx())
         by_id = {r.model_id: r for r in reports}
         assert by_id["two-ray-round"].n_samples == 2
@@ -167,7 +167,7 @@ class TestCompareModels:
     def test_tie_breaks_on_model_id(self):
         # at the reference distance the n = 2 parameterisation reproduces
         # free space bit-exactly, forcing an exact RMSE tie
-        samples = SampleSet.from_arrays([100.0, 100.0], [free_space_loss(100.0, F)] * 2)
+        samples = SampleSet([100.0, 100.0], [free_space_loss(100.0, F)] * 2)
         params = LogDistanceParams(n=2.0, l_p0=free_space_loss(100.0, F), d_0=100.0)
         reports = compare_models(samples, ["log-distance", "free-space"], self.ctx(log_distance=params))
         assert reports[0].rmse == reports[1].rmse == 0.0
@@ -175,39 +175,42 @@ class TestCompareModels:
 
     def test_requires_samples_and_models(self):
         grid = [100.0]
-        samples = SampleSet.from_arrays(grid, [70.0])
+        samples = SampleSet(grid, [70.0])
         with pytest.raises(ValueError):
             compare_models(samples, [], self.ctx())
 
 
 class TestBinning:
     def test_bin_means(self):
-        samples = SampleSet(pairs=((100.0, 80.0), (110.0, 82.0), (1000.0, 120.0), (1100.0, 122.0)))
+        samples = SampleSet([100.0, 110.0, 1000.0, 1100.0], [80.0, 82.0, 120.0, 122.0])
         binned = bin_samples(samples, 2)
         assert len(binned) == 2
         assert binned.pairs[0] == (pytest.approx(105.0), pytest.approx(81.0))
         assert binned.pairs[1] == (pytest.approx(1050.0), pytest.approx(121.0))
 
     def test_empty_bins_dropped(self):
-        samples = SampleSet(pairs=((100.0, 80.0), (10_000.0, 140.0)))
+        samples = SampleSet([100.0, 10_000.0], [80.0, 140.0])
         binned = bin_samples(samples, 10)
         assert len(binned) == 2
 
 
 class TestSampleSet:
-    def test_from_arrays_matches_pairs(self):
-        pairs = ((100.0, 80.0), (250.5, 91.25), (1000.0, -0.0))
-        built = SampleSet.from_arrays(np.array([p[0] for p in pairs]), [p[1] for p in pairs], "s")
-        given = SampleSet(pairs=pairs, source_id="s")
-        assert built == given and hash(built) == hash(given) and repr(built) == repr(given)
-        assert built.pairs == pairs and len(built) == 3
-        assert dataclasses.replace(built, source_id="t") == SampleSet(pairs=pairs, source_id="t")
-        assert not built.distances.flags.writeable
+    def test_arrays_and_pairs(self):
+        distances = np.array([100.0, 250.5, 1000.0])
+        samples = SampleSet(distances, [80.0, 91.25, -0.0])
+        assert samples.pairs == ((100.0, 80.0), (250.5, 91.25), (1000.0, -0.0)) and len(samples) == 3
+        distances[0] = 1.0  # the set holds its own copy
+        assert samples.distances[0] == 100.0 and samples.losses.dtype == np.float64
+        assert not samples.distances.flags.writeable and not samples.losses.flags.writeable
+        moved = dataclasses.replace(samples, losses=[1.0, 2.0, 3.0])
+        assert moved.pairs == ((100.0, 1.0), (250.5, 2.0), (1000.0, 3.0))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            built.pairs = ()
+            samples.distances = distances
+        with pytest.raises(LengthMismatch):
+            SampleSet(distances, [80.0])
 
     def test_rejects_non_positive_distance(self):
         with pytest.raises(ValueError):
-            SampleSet.from_arrays([100.0, 0.0], [80.0, 81.0])
+            SampleSet([100.0, 0.0], [80.0, 81.0])
         with pytest.raises(ValueError):
-            SampleSet(pairs=((100.0, 80.0), (-1.0, 81.0)))
+            SampleSet([100.0, -1.0], [80.0, 81.0])

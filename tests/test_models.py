@@ -247,7 +247,7 @@ class TestBullington:
         # fit the straight line to plane-earth samples (the measured proxy);
         # the shadow bridge pulls the prediction slightly under it far out
         grid = distance_grid(500.0, 9500.0, 200, "log")
-        samples = SampleSet.from_arrays(grid, [two_ray_flat(d, 0.35, 5.2, F) for d in grid])
+        samples = SampleSet(grid, [two_ray_flat(d, 0.35, 5.2, F) for d in grid])
         fit = fit_log_distance(samples, 100.0)
         far = distance_grid(5000.0, 9500.0, 50, "log")
         diffs = [
@@ -536,7 +536,7 @@ class TestWholeContextErrors:
         assert curve.skipped == tuple(
             (d, f"{cls.__name__}: {message}") for d in distance_grid(100.0, 10_000.0, 5)
         )
-        samples = SampleSet.from_arrays([100.0, 1000.0, 5000.0], [80.0, 100.0, 120.0])
+        samples = SampleSet([100.0, 1000.0, 5000.0], [80.0, 100.0, 120.0])
         reports = compare_models(samples, [model, "free-space"], ctx)
         assert [r.model_id for r in reports] == ["free-space"]
         with pytest.raises(cls, match=f"^{re.escape(message)}$"):
@@ -578,6 +578,16 @@ def test_every_point_is_a_finite_loss_or_a_reason(h_t, h_r, frequency, k, sea, p
             assert np.isfinite(loss[ok]).all(), model
             assert np.isnan(loss[~ok]).all(), model
             assert set(reasons[~ok].tolist()) <= set(REASONS), model
+
+
+class TestModelContextValidation:
+    @pytest.mark.parametrize("h_t", [-0.35, 0.0, 20_000.0])
+    def test_rejects_heights_every_model_rejects(self, h_t):
+        # two-ray-flat returned a finite loss for these heights while rel raised
+        with pytest.raises(ValueError, match="antenna heights"):
+            ModelContext(h_t=h_t, h_r=5.2, frequency=F)
+        with pytest.raises(ValueError, match="antenna heights"):
+            ModelContext(h_t=0.35, h_r=h_t, frequency=F)
 
 
 class TestRadioConfigValidation:

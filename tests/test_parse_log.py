@@ -24,9 +24,12 @@ def reference(text: str):
     """The columns and rejects (line, reason, raw) a per-row parse of text gives."""
     rows, rejects = oracles.reference_ingest(text, ((-150.0, 0.0), (0.0, 0.0)), (0.0, 0.0),
                                              6_371_000.0, (), 0.0)
-    lines = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    raw, start = {}, 1  # the text of each row, by the line it starts on
+    for row in reader:
+        raw[start], start = ",".join(row), reader.line_num + 1
     columns = [np.array([r[c] for r in rows], dtype=float) for c in COLUMNS]
-    return columns, [(line, reason, ",".join(lines[line - 1])) for line, reason in rejects]
+    return columns, [(line, reason, raw[line]) for line, reason in rejects]
 
 
 def assert_matches_reference(parsed, text: str) -> None:
@@ -172,6 +175,16 @@ def test_bare_carriage_return_ends_a_row_as_in_a_file(tmp_path):
     parsed = parse_log(path)
     assert parsed.records.timestamp.tolist() == [1597482000.0, 1597482001.0]
     assert parsed.rejects == ()
+
+
+def test_rejects_numbered_by_the_line_they_start_on():
+    # The quoted rssi spans lines 2-3, so the bad row is on line 5, not on csv row 4.
+    text = HEADER + '\n1597482000,55.7,12.9,"-90\n.0"\n1597482001,55.7,12.9,-91\nbad,55.7,12.9,-92\n'
+    parsed = parse_log(io.StringIO(text))
+    assert parsed.records.timestamp.tolist() == [1597482001.0]
+    assert parsed.rejects == ((2, "non-numeric field", "1597482000,55.7,12.9,-90\n.0"),
+                              (5, "bad timestamp", "bad,55.7,12.9,-92"))
+    assert_matches_reference(parsed, text)
 
 
 class TestUndecodable:
