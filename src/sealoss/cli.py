@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 from .errors import (
@@ -105,8 +107,8 @@ def cmd_curves(args) -> CommandResult:
     """Sweep the selected models over a distance grid into CSV/JSON artifacts."""
     cfg = _resolve_config(args)
     models = _parse_models(args.models, DEFAULT_CURVE_MODELS)
-    if not 0 < args.dmin < args.dmax:
-        raise ConfigError("require 0 < --dmin < --dmax")
+    if not 0 < args.dmin < args.dmax < math.inf:
+        raise ConfigError("require 0 < --dmin < --dmax < inf")
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
     ctx = cfg.model_context()
@@ -132,7 +134,7 @@ def cmd_curves(args) -> CommandResult:
         _write_csv(
             path,
             ("distance_m", "loss_db", "model_id"),
-            [(repr(d), repr(l), model_id) for d, l in zip(curve.distances, curve.losses)],
+            zip(curve.distances.tolist(), curve.losses.tolist(), repeat(model_id)),
         )
         artifacts.append(path)
     combined = out_dir / "curves.json"
@@ -148,8 +150,8 @@ def cmd_curves(args) -> CommandResult:
             },
             "curves": {
                 m: {
-                    "distances_m": list(c.distances),
-                    "losses_db": list(c.losses),
+                    "distances_m": c.distances.tolist(),
+                    "losses_db": c.losses.tolist(),
                     "skipped": [{"distance_m": d, "reason": r} for d, r in c.skipped],
                 }
                 for m, c in curves.items()
@@ -199,7 +201,7 @@ def cmd_analyze(args) -> CommandResult:
     _write_csv(
         comparison_path,
         ("model_id", "rmse_db", "mae_db", "n_samples", "n_excluded"),
-        [(r.model_id, repr(r.rmse), repr(r.mae), r.n_samples, r.n_excluded) for r in reports],
+        [(r.model_id, r.rmse, r.mae, r.n_samples, r.n_excluded) for r in reports],
     )
     artifacts.append(comparison_path)
 
@@ -207,7 +209,7 @@ def cmd_analyze(args) -> CommandResult:
     _write_csv(
         samples_path,
         ("distance_m", "path_loss_db"),
-        [(repr(d), repr(l)) for d, l in metric_samples.pairs],
+        zip(metric_samples.distances.tolist(), metric_samples.losses.tolist()),
     )
     artifacts.append(samples_path)
 
@@ -216,9 +218,7 @@ def cmd_analyze(args) -> CommandResult:
     pred_rows = []
     for model_id in models:
         curve = sweep(model_id, ctx, d_min, d_max, 200, spacing="log")
-        pred_rows.extend(
-            (model_id, repr(d), repr(l)) for d, l in zip(curve.distances, curve.losses)
-        )
+        pred_rows.extend(zip(repeat(model_id), curve.distances.tolist(), curve.losses.tolist()))
     _write_csv(predictions_path, ("model_id", "distance_m", "loss_db"), pred_rows)
     artifacts.append(predictions_path)
 
@@ -279,7 +279,10 @@ def cmd_range(args) -> CommandResult:
     cfg = _resolve_config(args)
     radio = cfg.radio
     if args.sensitivity is not None:
-        radio = replace(radio, rx_sensitivity=args.sensitivity)
+        try:
+            radio = replace(radio, rx_sensitivity=args.sensitivity)
+        except ValueError as exc:
+            raise ConfigError(f"--sensitivity: {exc}") from exc
     ctx = cfg.model_context()
     models = _parse_models(args.models, DEFAULT_CURVE_MODELS)
 

@@ -316,16 +316,16 @@ class CampaignConfig:
             fields = {"name": "campaign", **_attributes(doc, _CAMPAIGN, "")}
             fields.update(_attributes(fields.pop("geometry"), _GEOMETRY, "geometry."))
             return cls(**{attr: _READ[attr](value) for attr, value in fields.items()})
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid campaign config: {exc}") from exc
 
     @classmethod
     def from_json(cls, source) -> "CampaignConfig":
         try:
-            doc = json.loads(_read_text(source))
+            doc = json.loads(_read_text(source), parse_constant=_finite, parse_float=_finite)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer too long to parse
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
@@ -368,6 +368,14 @@ _ITU = {
     "median_effective_radius_factor": "median_effective_radius_factor",
 }
 _ZONE = {"kind": "kind", "start": "start", "end": "end"}
+
+
+def _finite(literal: str) -> float:
+    """A JSON number or constant (NaN, Infinity) as a float; raises ConfigError unless finite."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"invalid campaign config: {literal} is not a finite number")
+    return value
 
 
 def _section(obj, table: dict) -> dict:

@@ -28,11 +28,6 @@ class SampleSet:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    @property
-    def pairs(self) -> tuple:
-        """The (distance, loss) tuples, built only when read: a binned analysis never reads them."""
-        return tuple(zip(self.distances.tolist(), self.losses.tolist()))
-
     def __len__(self) -> int:
         return len(self.distances)
 
@@ -134,8 +129,8 @@ def bin_samples(samples: SampleSet, n_bins: int) -> SampleSet:
         raise ValueError("need at least one bin")
     d, y = samples.distances, samples.losses
     edges = np.logspace(math.log10(d.min()), math.log10(d.max()), n_bins + 1)
-    edges[-1] *= 1.0 + 1e-12  # keep the max sample inside the last bin
-    idx = np.digitize(d, edges) - 1
+    # The end edges can round past the extreme samples; those belong to the end bins.
+    idx = np.clip(np.digitize(d, edges) - 1, 0, n_bins - 1)
     distances, losses = [], []
     for b in range(n_bins):
         mask = idx == b

@@ -128,22 +128,26 @@ class ItuParams:
             raise ValueError("median effective radius factor must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelCurve:
-    """A model evaluated over a distance grid; unevaluable points are skipped, not faked."""
+    """A model over a distance grid as read-only float64 arrays; unevaluable points are skipped, not faked."""
 
     model_id: str
-    distances: tuple
-    losses: tuple
+    distances: np.ndarray
+    losses: np.ndarray
     skipped: tuple = ()
 
     def __post_init__(self):
-        if len(self.distances) != len(self.losses):
+        distances, losses = np.array(self.distances, dtype=float), np.array(self.losses, dtype=float)
+        if len(distances) != len(losses):
             raise ValueError("distances and losses must have equal length")
-        if not (np.diff(self.distances) > 0).all():
+        if not (np.diff(distances) > 0).all():
             raise ValueError("distances must be strictly increasing")
-        if not np.isfinite(self.losses).all():
+        if not np.isfinite(losses).all():
             raise ValueError("losses must be finite")
+        for name, a in (("distances", distances), ("losses", losses)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -230,8 +234,9 @@ def two_ray_flat(
     sqrt(d^2 + (h_t + h_r)^2) via the image point; equal antenna gain is
     assumed toward both rays.  reflection = 0 degenerates to free space over
     the direct-ray length.  Raises NumericalFailure where the field sum
-    cancels to zero.
+    cancels to zero.  Heights outside (0, MAX_ANTENNA_HEIGHT] raise ValueError.
     """
+    check_heights(h_t, h_r)
     loss = _two_ray_flat(distances(d), h_t, h_r, frequency, reflection)
     return _checked(loss, d, frequency, h_t, h_r)
 
@@ -591,12 +596,7 @@ def sweep(
     bad = reasons != OK
     errors = _errors(ctx.geometry_at(grid), ctx.frequency, reasons) if bad.any() else ()
     skipped = tuple((d, f"{type(e).__name__}: {e}") for d, e in zip(grid[bad].tolist(), errors))
-    return ModelCurve(
-        model_id=model_id,
-        distances=tuple(grid[~bad].tolist()),
-        losses=tuple(loss[~bad].tolist()),
-        skipped=skipped,
-    )
+    return ModelCurve(model_id=model_id, distances=grid[~bad], losses=loss[~bad], skipped=skipped)
 
 
 # The scan grid of max_range, 2048 log-spaced points from 1 m to MAX_RANGE_CAP.

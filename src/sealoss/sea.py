@@ -9,7 +9,7 @@ surface slopes, and the spherical-earth divergence factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -68,36 +68,35 @@ class SeaState:
 
 @dataclass(frozen=True)
 class EffectiveReflection:
-    """Composed reflection coefficient with its component breakdown retained.
+    """Composed reflection coefficient, stored as its four factors.
 
-    Every field is a number, or a 1-D array with one entry per specular point.
+    Every field is a number, or a 1-D array with one entry per specular point;
+    magnitude, phase and value are computed from the factors.
     """
 
-    magnitude: float
-    phase: float
     fresnel: complex
     roughness: float
     shadowing: float
     divergence: float
 
-    def __post_init__(self):
-        recomposed = abs(self.fresnel) * self.roughness * self.shadowing * self.divergence
-        if np.any(abs(self.magnitude - recomposed) > 1e-12):
-            raise ValueError("magnitude does not equal the product of its components")
+    @property
+    def magnitude(self) -> float:
+        return abs(self.fresnel) * self.roughness * self.shadowing * self.divergence
+
+    @property
+    def phase(self) -> float:
+        """The phase of the Fresnel coefficient; the other factors are real."""
+        return like(self.fresnel, np.angle(self.fresnel))
 
     @property
     def components(self) -> dict:
-        return {
-            "fresnel": self.fresnel,
-            "roughness": self.roughness,
-            "shadowing": self.shadowing,
-            "divergence": self.divergence,
-        }
+        """The four factors by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def value(self) -> complex:
         """The effective coefficient as a complex number (or array)."""
-        return like(self.magnitude, self.magnitude * np.exp(1j * as_array(self.phase)))
+        return like(self.fresnel, self.magnitude * np.exp(1j * as_array(self.phase)))
 
 
 def fresnel_reflection(
@@ -224,14 +223,7 @@ def effective_reflection_at(
     rho = roughness_factor(psi, wavelength(frequency), sea)
     shadow = shadowing_factor(psi, sea)
     div = divergence_factor(rg, g)
-    return EffectiveReflection(
-        magnitude=abs(fresnel) * rho * shadow * div,
-        phase=like(psi, np.angle(fresnel)),
-        fresnel=fresnel,
-        roughness=rho,
-        shadowing=shadow,
-        divergence=div,
-    )
+    return EffectiveReflection(fresnel=fresnel, roughness=rho, shadowing=shadow, divergence=div)
 
 
 def effective_reflection(

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines alongside the pytest verdicts.
 """
 
-import cmath
 import math
 import time
 
@@ -63,10 +62,7 @@ def test_criterion_1_characteristic_distances():
 
 
 def test_criterion_2_flat_limit_equivalence():
-    unit = EffectiveReflection(
-        magnitude=1.0, phase=cmath.phase(complex(-1.0)), fresnel=complex(-1.0),
-        roughness=1.0, shadowing=1.0, divergence=1.0,
-    )
+    unit = EffectiveReflection(fresnel=complex(-1.0), roughness=1.0, shadowing=1.0, divergence=1.0)
     big = EarthModel(effective_radius_factor=1e9)
     worst = 0.0
     for name in CAMPAIGNS:

@@ -335,6 +335,52 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "sea.sigma_h" in err
 
 
+# Each case: command, (config text, its replacement) or None, options, a part of the message.
+OUTSIDE_INPUT_CASES = {
+    "sigma-nan": ("curves", ('"sigma_h_m": 0.1', '"sigma_h_m": NaN'), [], "NaN is not a finite number"),
+    "beta-nan": ("analyze", ('"beta_0_rad": 0.05', '"beta_0_rad": NaN'), [], "NaN is not"),
+    "conductivity-nan": ("curves", ('"conductivity_s_per_m": 5.0', '"conductivity_s_per_m": NaN'), [],
+                         "NaN is not"),
+    "radius-factor-inf": ("curves", ('"effective_radius_factor": 1.0', '"effective_radius_factor": Infinity'),
+                          [], "Infinity is not"),
+    "frequency-inf": ("range", ('"frequency_hz": 869500000.0', '"frequency_hz": Infinity'), [],
+                      "Infinity is not"),
+    "power-minus-inf": ("range", ('"tx_power_dbm": 17.0', '"tx_power_dbm": -Infinity'), [],
+                        "-Infinity is not"),
+    "reference-inf": ("analyze", ('"log_distance_reference_m": 100.0', '"log_distance_reference_m": Infinity'),
+                      [], "Infinity is not"),
+    "sigma-overflow": ("curves", ('"sigma_h_m": 0.1', '"sigma_h_m": 1e999'), [], "1e999 is not"),
+    "sigma-huge-int": ("curves", ('"sigma_h_m": 0.1', '"sigma_h_m": 1' + "0" * 400), [], "too large"),
+    "sigma-overlong-int": ("curves", ('"sigma_h_m": 0.1', '"sigma_h_m": 1' + "0" * 5000), [], "digits"),
+    "sensitivity-nan": ("range", None, ["--sensitivity", "nan"], "rx_sensitivity must be finite"),
+    "sensitivity-inf": ("range", None, ["--sensitivity", "inf"], "rx_sensitivity must be finite"),
+    "dmax-inf": ("curves", None, ["--dmax", "inf"], "--dmax"),
+    "dmin-above-dmax": ("curves", None, ["--dmin", "200", "--dmax", "100"], "--dmin"),
+    "one-point": ("curves", None, ["--points", "1"], "--points"),
+    "no-bins": ("analyze", None, ["--bins", "0"], "--bins"),
+}
+
+
+@pytest.mark.parametrize("command, edit, options, message", OUTSIDE_INPUT_CASES.values(),
+                         ids=OUTSIDE_INPUT_CASES.keys())
+def test_bad_outside_number_exit_2(tmp_path, capsys, command, edit, options, message):
+    config = "campaign1"
+    if edit:
+        text = builtin_data_path("campaign1.json").read_text()
+        assert edit[0] in text
+        config = tmp_path / "edited.json"
+        config.write_text(text.replace(edit[0], edit[1]))
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(config)] + options
+    if command == "analyze":
+        argv += ["--log", C2_LOG, "--cal", C2_CAL]
+    if command != "range":
+        argv += ["--out", str(out_dir)]
+    code, _, err = run(argv, capsys)
+    assert code == 2 and err.startswith("config error: ") and message in err
+    assert not out_dir.exists()
+
+
 def test_failed_artifact_write_leaves_no_temp_file(tmp_path):
     from sealoss.cli import _write_json
 

@@ -384,7 +384,8 @@ class TestAgainstPerRowReference:
 
         kept = sorted(((r["distance"], r["path_loss"]) for r in want if not r["excluded"]),
                       key=lambda p: p[0])
-        pairs = to_sample_set(out).pairs
+        samples = to_sample_set(out)
+        pairs = list(zip(samples.distances.tolist(), samples.losses.tolist()))
         assert [l for _, l in pairs] == [l for _, l in kept]
         assert all(within_ulps(a, b, 2) for (a, _), (b, _) in zip(pairs, kept))
 

@@ -62,7 +62,7 @@ class TestFitLogDistance:
         grid = distance_grid(120.0, 9000.0, 60, "log")
         truth = LogDistanceParams(n=3.1, l_p0=85.0, d_0=100.0)
         samples = synth_samples(truth, grid, rng.normal(0.0, 2.0, len(grid)))
-        shuffled = list(samples.pairs)
+        shuffled = list(zip(samples.distances, samples.losses))
         rng.shuffle(shuffled)
         fit_a = fit_log_distance(samples, 100.0)
         fit_b = fit_log_distance(SampleSet([d for d, _ in shuffled], [l for _, l in shuffled]), 100.0)
@@ -185,8 +185,16 @@ class TestBinning:
         samples = SampleSet([100.0, 110.0, 1000.0, 1100.0], [80.0, 82.0, 120.0, 122.0])
         binned = bin_samples(samples, 2)
         assert len(binned) == 2
-        assert binned.pairs[0] == (pytest.approx(105.0), pytest.approx(81.0))
-        assert binned.pairs[1] == (pytest.approx(1050.0), pytest.approx(121.0))
+        assert binned.distances.tolist() == pytest.approx([105.0, 1050.0])
+        assert binned.losses.tolist() == pytest.approx([81.0, 121.0])
+
+    def test_nearest_sample_kept_when_the_first_edge_rounds_above_it(self):
+        # 10**log10(d) rounds above d for this distance, so the first edge does too
+        samples = SampleSet([99.99759753149395, 500.0, 3000.0], [70.0, 90.0, 110.0])
+        one = bin_samples(samples, 1)
+        assert one.distances.tolist() == [samples.distances.mean()]
+        assert one.losses.tolist() == [90.0]
+        assert len(bin_samples(samples, 3)) == 3
 
     def test_empty_bins_dropped(self):
         samples = SampleSet([100.0, 10_000.0], [80.0, 140.0])
@@ -195,15 +203,16 @@ class TestBinning:
 
 
 class TestSampleSet:
-    def test_arrays_and_pairs(self):
+    def test_read_only_arrays(self):
         distances = np.array([100.0, 250.5, 1000.0])
         samples = SampleSet(distances, [80.0, 91.25, -0.0])
-        assert samples.pairs == ((100.0, 80.0), (250.5, 91.25), (1000.0, -0.0)) and len(samples) == 3
+        assert samples.distances.tolist() == [100.0, 250.5, 1000.0] and len(samples) == 3
+        assert samples.losses.tolist() == [80.0, 91.25, -0.0]
         distances[0] = 1.0  # the set holds its own copy
         assert samples.distances[0] == 100.0 and samples.losses.dtype == np.float64
         assert not samples.distances.flags.writeable and not samples.losses.flags.writeable
         moved = dataclasses.replace(samples, losses=[1.0, 2.0, 3.0])
-        assert moved.pairs == ((100.0, 1.0), (250.5, 2.0), (1000.0, 3.0))
+        assert moved.distances.tolist() == [100.0, 250.5, 1000.0] and moved.losses.tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(dataclasses.FrozenInstanceError):
             samples.distances = distances
         with pytest.raises(LengthMismatch):

@@ -59,10 +59,7 @@ LAMBDA = wavelength(F)
 
 
 def unit_reflection(value: complex = -1.0) -> EffectiveReflection:
-    return EffectiveReflection(
-        magnitude=abs(value), phase=cmath.phase(value), fresnel=complex(value),
-        roughness=1.0, shadowing=1.0, divergence=1.0,
-    )
+    return EffectiveReflection(fresnel=complex(value), roughness=1.0, shadowing=1.0, divergence=1.0)
 
 
 class TestFreeSpace:
@@ -144,7 +141,7 @@ class TestTwoRayZeroField:
 
     def test_sweep_skips_the_points(self):
         curve = sweep("two-ray-flat", self.CTX, 2.2e6, 2.25e6, 20)
-        assert curve.distances == ()
+        assert curve.distances.tolist() == []
         assert len(curve.skipped) == 20
         assert all(reason.startswith("NumericalFailure: ") for _, reason in curve.skipped)
 
@@ -152,10 +149,7 @@ class TestTwoRayZeroField:
 class TestTwoRayRoundEarth:
     def test_zero_reflection_is_free_space_over_direct_ray(self):
         g = LinkGeometry(0.35, 5.2, 4000.0)
-        zero = EffectiveReflection(
-            magnitude=0.0, phase=0.0, fresnel=complex(0.0),
-            roughness=1.0, shadowing=1.0, divergence=1.0,
-        )
+        zero = EffectiveReflection(fresnel=complex(0.0), roughness=1.0, shadowing=1.0, divergence=1.0)
         from sealoss import reflection_geometry
 
         expected = free_space_loss(reflection_geometry(g).l, F)
@@ -383,7 +377,7 @@ class TestSweep:
 
     def test_two_points_endpoints_only(self):
         curve = sweep("free-space", self.ctx(), 100.0, 10_000.0, 2)
-        assert curve.distances == (100.0, 10_000.0)
+        assert curve.distances.tolist() == [100.0, 10_000.0]
 
     def test_log_spacing_geometric_midpoint(self):
         curve = sweep("free-space", self.ctx(), 100.0, 10_000.0, 3)
@@ -415,7 +409,7 @@ class TestSweep:
 
     def test_linear_spacing(self):
         curve = sweep("free-space", self.ctx(), 100.0, 200.0, 3, spacing="linear")
-        assert curve.distances == (100.0, 150.0, 200.0)
+        assert curve.distances.tolist() == [100.0, 150.0, 200.0]
 
     def test_log_distance_requires_params(self):
         with pytest.raises(ConfigError):
@@ -434,6 +428,14 @@ class TestSweep:
             ModelCurve("x", (1.0, 2.0), (0.0,))
         with pytest.raises(ValueError):
             ModelCurve("x", (1.0, 2.0), (0.0, math.inf))
+
+    def test_curve_holds_read_only_arrays(self):
+        curve = sweep("two-ray-round", self.ctx(), 9000.0, 12_000.0, 10)
+        grid = np.asarray(distance_grid(9000.0, 12_000.0, 10))
+        for a in (curve.distances, curve.losses):
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
+        np.testing.assert_array_equal(curve.distances, grid[: len(curve.distances)])
+        assert len(curve.losses) == len(curve.distances) == 10 - len(curve.skipped)
 
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
@@ -532,7 +534,7 @@ class TestWholeContextErrors:
     def test_every_boundary(self, model, kw, cls, message):
         ctx = ModelContext(h_r=5.2, **kw)
         curve = sweep(model, ctx, 100.0, 10_000.0, 5)
-        assert curve.distances == () and curve.losses == ()
+        assert curve.distances.tolist() == [] and curve.losses.tolist() == []
         assert curve.skipped == tuple(
             (d, f"{cls.__name__}: {message}") for d in distance_grid(100.0, 10_000.0, 5)
         )
@@ -588,6 +590,13 @@ class TestModelContextValidation:
             ModelContext(h_t=h_t, h_r=5.2, frequency=F)
         with pytest.raises(ValueError, match="antenna heights"):
             ModelContext(h_t=0.35, h_r=h_t, frequency=F)
+
+    @pytest.mark.parametrize("h_t", [-0.35, 0.0, 20_000.0])
+    def test_scalar_two_ray_flat_rejects_them_too(self, h_t):
+        with pytest.raises(ValueError, match="antenna heights"):
+            two_ray_flat(1000.0, h_t, 5.2, F)
+        with pytest.raises(ValueError, match="antenna heights"):
+            two_ray_flat(1000.0, 0.35, h_t, F)
 
 
 class TestRadioConfigValidation:

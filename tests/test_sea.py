@@ -1,4 +1,4 @@
-import cmath
+import dataclasses
 import math
 import warnings
 
@@ -250,14 +250,19 @@ class TestEffectiveReflection:
         psi = reflection_geometry(g).grazing_angle
         assert roughness_factor(psi, wavelength(F), SEA, method="ament") <= full.roughness
 
-    def test_inconsistent_construction_rejected(self):
-        from sealoss import EffectiveReflection
-
-        with pytest.raises(ValueError):
-            EffectiveReflection(
-                magnitude=0.5, phase=cmath.pi, fresnel=complex(-1.0),
-                roughness=1.0, shadowing=1.0, divergence=1.0,
-            )
+    @pytest.mark.parametrize("d", [3000.0, np.array([500.0, 3000.0, 7000.0])], ids=["number", "array"])
+    def test_stored_as_its_four_factors(self, d):
+        g = LinkGeometry(0.35, 5.2, d)
+        r = effective_reflection(g, F, SEA, Polarization.VERTICAL)
+        names = [f.name for f in dataclasses.fields(r)]
+        assert names == ["fresnel", "roughness", "shadowing", "divergence"]
+        assert list(r.components) == names
+        assert all(r.components[name] is getattr(r, name) for name in names)
+        np.testing.assert_array_equal(
+            r.magnitude, np.abs(r.fresnel) * r.roughness * r.shadowing * r.divergence
+        )
+        np.testing.assert_array_equal(r.phase, np.angle(r.fresnel))
+        assert np.ndim(r.magnitude) == np.ndim(r.phase) == np.ndim(r.value) == np.ndim(d)
 
 
 class TestSeaStateValidation:
