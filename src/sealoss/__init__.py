@@ -37,7 +37,7 @@ from .geometry import (
     fresnel60_distance,
     great_circle_distance,
     horizon_distance,
-    reflection_geometry,
+    specular_points,
     wavelength,
 )
 from .ingest import (
@@ -71,24 +71,20 @@ from .models import (
     ModelContext,
     ModelCurve,
     RadioConfig,
-    bullington_loss,
     evaluate_model,
     free_space_loss,
-    itu_p2001_reduced_loss,
     log_distance_loss,
+    losses,
     max_range,
-    rel_loss,
     smooth_earth_diffraction_loss,
     sweep,
-    two_ray_flat,
-    two_ray_round_earth,
 )
 from .sea import (
     EffectiveReflection,
     Polarization,
     SeaState,
     divergence_factor,
-    effective_reflection,
+    effective_reflection_at,
     fresnel_reflection,
     roughness_factor,
     shadowing_factor,

@@ -9,7 +9,7 @@ the 60 %-first-Fresnel-zone clearance distance d_60.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,8 +47,8 @@ def distances(d) -> np.ndarray:
 def like(x, values):
     """values as they are when x is an array, as a Python number when x is a number.
 
-    The scalar API computes through one-point arrays, so a scalar call runs
-    the same numpy loops as an array call and gives the same bits.
+    A number goes through the same one-point array code as an array does
+    (evaluate_model, the component functions), so it gets the same bits.
     """
     return values if np.ndim(x) else np.asarray(values).item()
 
@@ -126,7 +126,7 @@ class ReflectionGeometry:
     the plane tangent to the earth at the specular point, and grazing_angle
     the angle between the reflected ray and that tangent plane.  ground_x and
     ground_x_prime are the along-surface distances to the specular point.
-    Every field is a number, or a 1-D array with one entry per distance.
+    Every field is a 1-D array with one entry per solved point.
     """
 
     x: float
@@ -247,11 +247,14 @@ def _specular_ground_distance(h_t: float, h_r: float, d: np.ndarray, r_e: float)
 def specular_points(g: LinkGeometry):
     """The round-earth specular reflection geometry at every distance of g.
 
-    Array form of reflection_geometry.  Returns the ReflectionGeometry of the
-    points that have one (arrays over those points, in order) and the
-    per-point reason codes: BEYOND_HORIZON at or beyond the horizon,
-    COLLAPSED where the grazing geometry collapses, NOT_CONVERGED where the
-    cubic solve fails.
+    The specular ground distance is the root of the standard small-angle cubic
+    2x^3 - 3dx^2 + (d^2 - 2 r_e (h_t + h_r))x + 2 r_e h_t d = 0; heights above
+    the tangent plane at that point are h' = h - x^2 / (2 r_e) and the ray
+    lengths follow from the tangent-plane triangle.  Returns the
+    ReflectionGeometry of the points that have one (arrays over those points,
+    in order) and the per-point reason codes: BEYOND_HORIZON at or beyond the
+    horizon, COLLAPSED where the grazing geometry collapses, NOT_CONVERGED
+    where the cubic solve fails.
     """
     d = distances(g.d)
     beyond = d >= horizon_distance(g)
@@ -298,23 +301,3 @@ def point_errors(g: LinkGeometry, reasons: np.ndarray, **values):
             values.update(residual=solve[2][0], scale=solve[3][0])
         cls, template = REASONS[code]
         yield cls(template.format_map(values))
-
-
-def reflection_geometry(g: LinkGeometry) -> ReflectionGeometry:
-    """Solve the round-earth specular reflection geometry for a within-horizon link.
-
-    The specular ground distance is the root of the standard small-angle cubic
-    2x^3 - 3dx^2 + (d^2 - 2 r_e (h_t + h_r))x + 2 r_e h_t d = 0; heights above
-    the tangent plane at that point are h' = h - x^2 / (2 r_e) and the ray
-    lengths follow from the tangent-plane triangle.
-
-    Raises:
-        NoSpecularPoint: if d is at or beyond the horizon distance.
-        NumericalFailure: if the cubic solver does not converge.
-    """
-    rg, reasons = specular_points(g)
-    if reasons.any():
-        raise next(point_errors(g, reasons))
-    if np.ndim(g.d):
-        return rg
-    return replace(rg, **{name: value.item() for name, value in vars(rg).items()})

@@ -394,14 +394,22 @@ def _attributes(doc, table: dict, path: str) -> dict:
     return {table[key]: value for key, value in doc.items()}
 
 
+def _number(value, path: str) -> float:
+    """A JSON number (int or float, not a boolean) as a float; raises ConfigError naming path."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"invalid campaign config: {path} must be a number, not {value!r}")
+    return float(value)
+
+
 def _read_floats(cls, table: dict, path: str):
-    """Reader of a section whose attributes are all floats, building a cls."""
-    return lambda doc: cls(**{a: float(v) for a, v in _attributes(doc, table, path).items()})
+    """Reader of a section whose attributes are all numbers, building a cls."""
+    paths = {attr: path + key for key, attr in table.items()}
+    return lambda doc: cls(**{a: _number(v, paths[a]) for a, v in _attributes(doc, table, path).items()})
 
 
 def _zone(doc, path: str) -> ExclusionZone:
     z = _attributes(doc, _ZONE, path)
-    return ExclusionZone(kind=z["kind"], start=float(z["start"]), end=float(z["end"]))
+    return ExclusionZone(kind=z["kind"], **{k: _number(z[k], path + k) for k in ("start", "end")})
 
 
 # How from_dict reads each CampaignConfig attribute from its JSON value.
@@ -409,8 +417,8 @@ _READ = {
     "name": lambda name: name,
     "bs_position": _read_floats(GeoPoint, _POSITION, "bs_position."),
     "radio": _read_floats(RadioConfig, _RADIO, "radio."),
-    "tx_height": float,
-    "rx_height": float,
+    "tx_height": lambda h: _number(h, "geometry.tx_height_m"),
+    "rx_height": lambda h: _number(h, "geometry.rx_height_m"),
     "earth": _read_floats(EarthModel, _EARTH, "geometry.earth."),
     "sea": _read_floats(SeaState, _SEA, "sea."),
     "polarization": Polarization,
@@ -418,7 +426,7 @@ _READ = {
     "exclusion_zones": lambda zones: tuple(
         _zone(z, f"exclusion_zones[{i}].") for i, z in enumerate(zones)
     ),
-    "log_distance_reference": float,
+    "log_distance_reference": lambda d: _number(d, "log_distance_reference_m"),
     "metadata": dict,
 }
 

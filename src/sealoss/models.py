@@ -6,10 +6,10 @@ method, a reduced ITU-R P.2001 evaluation (free space plus spherical-earth
 diffraction under median conditions), and the empirical log-distance model.
 All models return loss in dB as a function of distance.
 
-Every model is written once, over arrays of distances: losses() evaluates a
-model at many distances in one pass, recording per point a reason code
-(errors.REASONS) for the SeaLossError that evaluate_model would raise there,
-and the scalar functions call the same array code with one-point arrays.
+Every model is written once, as a kernel over arrays of distances, and
+reached through one entry: losses() evaluates a model at many distances in
+one pass, recording per point a reason code (errors.REASONS) for the
+SeaLossError that evaluate_model, the one scalar entry, raises there.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from .geometry import (
     horizon_distance,
     like,
     point_errors,
-    reflection_geometry,
     specular_points,
     wavelength,
 )
-from .sea import EffectiveReflection, Polarization, SeaState, effective_reflection_at
+from .sea import Polarization, SeaState, effective_reflection_at
 
 MODEL_IDS = (
     "free-space",
@@ -180,17 +179,6 @@ def _errors(g: LinkGeometry, frequency: float, reasons: np.ndarray):
     return point_errors(g, reasons, mhz=frequency / 1e6, ceiling=_BULLINGTON_CEILING_M)
 
 
-def _checked(result, d, frequency: float, h_t: float, h_r: float, earth=EarthModel()):
-    """The losses of an array evaluation at d, a number when d is one.
-
-    Raises the first failed point's error, built from the link h_t, h_r, earth.
-    """
-    loss, reasons = result
-    if reasons.any():
-        raise next(_errors(LinkGeometry(h_t, h_r, distances(d), earth), frequency, reasons))
-    return like(d, loss)
-
-
 def _failing(d: np.ndarray, code):
     """The losses and reasons of a context that fails with one code at every point."""
     return np.full(d.shape, np.nan), np.full(d.shape, code)
@@ -217,49 +205,30 @@ def _two_ray_db(l, r, reflection, frequency: float):
 
 
 def _two_ray_flat(d, h_t: float, h_r: float, frequency: float, reflection: complex = -1.0):
-    l, r = np.hypot(d, h_t - h_r), np.hypot(d, h_t + h_r)
-    return _two_ray_db(l, r, complex(reflection), frequency)
-
-
-def two_ray_flat(
-    d,
-    h_t: float,
-    h_r: float,
-    frequency: float,
-    reflection: complex = -1.0,
-):
-    """Plane-earth two-ray loss with an arbitrary reflection coefficient.
+    """Plane-earth two-ray losses and reasons at the distance array d, any reflection coefficient.
 
     The direct ray has length sqrt(d^2 + (h_t - h_r)^2), the reflected one
     sqrt(d^2 + (h_t + h_r)^2) via the image point; equal antenna gain is
     assumed toward both rays.  reflection = 0 degenerates to free space over
-    the direct-ray length.  Raises NumericalFailure where the field sum
-    cancels to zero.  Heights outside (0, MAX_ANTENNA_HEIGHT] raise ValueError.
+    the direct-ray length.  A point where the field sum cancels to zero
+    carries ZERO_FIELD.
     """
-    check_heights(h_t, h_r)
-    loss = _two_ray_flat(distances(d), h_t, h_r, frequency, reflection)
-    return _checked(loss, d, frequency, h_t, h_r)
+    l, r = np.hypot(d, h_t - h_r), np.hypot(d, h_t + h_r)
+    return _two_ray_db(l, r, complex(reflection), frequency)
 
 
 def _two_ray_round(g: LinkGeometry, frequency: float, sea: SeaState, pol: Polarization):
-    """Round-earth two-ray losses with the effective sea reflection, one specular solve per point."""
+    """Two-ray losses and reasons in the round-earth geometry with the effective sea reflection.
+
+    Ray lengths come from the specular-point solution on the curved sea, one
+    solve per point; a point with no specular point carries specular_points' reason.
+    """
     rg, reasons = specular_points(g)
     ok = reasons == OK
     r_eff = effective_reflection_at(rg, g, frequency, sea, pol)
     loss = np.full(reasons.size, np.nan)
     loss[ok], reasons[ok] = _two_ray_db(rg.l, rg.x + rg.x_prime, r_eff.value, frequency)
     return loss, reasons
-
-
-def two_ray_round_earth(g: LinkGeometry, frequency: float, r_eff: EffectiveReflection):
-    """Two-ray loss in the round-earth geometry with an effective reflection.
-
-    Ray lengths come from the specular-point solution on the curved sea;
-    raises NoSpecularPoint beyond the horizon.
-    """
-    rg = reflection_geometry(replace(g, d=distances(g.d)))  # arrays, also for a number d
-    loss = _two_ray_db(rg.l, rg.x + rg.x_prime, r_eff.value, frequency)
-    return _checked(loss, g.d, frequency, g.h_t, g.h_r, g.earth)
 
 
 def _first_term_diffraction(
@@ -342,6 +311,8 @@ def _log_bridge(d, d_60: float, d_h: float, end_value: float):
 def _bridged(g: LinkGeometry, frequency: float, base, horizon_value):
     """base(g inside the horizon) plus the bridge from 0 at d_60 to horizon_value(g at d_h).
 
+    horizon_value gives the bridge's end value and its reason code; where that
+    code is not OK every point inside the horizon carries it, with a nan loss.
     Beyond the horizon the loss is free space plus the smooth-sphere diffraction.
     """
     d = distances(g.d)
@@ -352,14 +323,32 @@ def _bridged(g: LinkGeometry, frequency: float, base, horizon_value):
         loss[beyond] = _beyond_horizon(replace(g, d=d[beyond]), frequency)
     inside = ~beyond
     if inside.any():
+        end_value, end_reason = horizon_value(replace(g, d=d_h))
+        if end_reason != OK:
+            loss[inside], reasons[inside] = np.nan, end_reason
+            return loss, reasons
         base_loss, reasons[inside] = base(replace(g, d=d[inside]))
-        end_value = horizon_value(replace(g, d=d_h))
         d_60 = fresnel60_distance(g, frequency)
         loss[inside] = base_loss + _log_bridge(d[inside], d_60, d_h, end_value)
     return loss, reasons
 
 
 def _bullington(g: LinkGeometry, frequency: float):
+    """Plane-earth two-ray over a perfect conductor plus a shadow-loss correction.
+
+    Within the horizon the loss is the plane-earth two-ray result with R = -1;
+    the shadow loss relative to that plane-earth field is bridged linearly in
+    log10(d) from 0 at the 60 %-clearance distance to its horizon value, and
+    beyond the horizon the loss is free space plus the smooth-sphere
+    diffraction term.  Both seams are continuous by construction.  The
+    diffraction term is always the vertical-polarized one.  Where the
+    plane-earth field cancels at d_h the horizon value is undefined, and
+    every point inside the horizon carries ZERO_FIELD.
+
+    Every point carries ANTENNA_TOO_HIGH above the 15 m validity ceiling near
+    868 MHz; at other frequencies a BullingtonValidityWarning is emitted
+    above the f^(-1/3)-scaled ceiling instead.
+    """
     h_max = max(g.h_t, g.h_r)
     if _BULLINGTON_BAND[0] <= frequency <= _BULLINGTON_BAND[1]:
         if h_max > _BULLINGTON_CEILING_M:
@@ -373,48 +362,17 @@ def _bullington(g: LinkGeometry, frequency: float):
                 BullingtonValidityWarning,
                 stacklevel=3,
             )
+
+    def horizon_value(at_d_h: LinkGeometry):
+        flat, reason = _two_ray_flat(distances(at_d_h.d), g.h_t, g.h_r, frequency)
+        return _beyond_horizon(at_d_h, frequency) - flat.item(), reason.item()
+
     return _bridged(
-        g, frequency,
-        lambda inner: _two_ray_flat(inner.d, g.h_t, g.h_r, frequency),
-        lambda at_d_h: (
-            _beyond_horizon(at_d_h, frequency)
-            - two_ray_flat(at_d_h.d, g.h_t, g.h_r, frequency, reflection=-1.0)
-        ),
+        g, frequency, lambda inner: _two_ray_flat(inner.d, g.h_t, g.h_r, frequency), horizon_value
     )
-
-
-def bullington_loss(g: LinkGeometry, frequency: float):
-    """Plane-earth two-ray over a perfect conductor plus a shadow-loss correction.
-
-    Within the horizon the loss is the plane-earth two-ray result with R = -1;
-    the shadow loss relative to that plane-earth field is bridged linearly in
-    log10(d) from 0 at the 60 %-clearance distance to its horizon value, and
-    beyond the horizon the loss is free space plus the smooth-sphere
-    diffraction term.  Both seams are continuous by construction.  The
-    diffraction term is always the vertical-polarized one.
-
-    Raises AntennaTooHigh above the 15 m validity ceiling near 868 MHz; at
-    other frequencies a BullingtonValidityWarning is emitted above the
-    f^(-1/3)-scaled ceiling instead.
-    """
-    return _checked(_bullington(g, frequency), g.d, frequency, g.h_t, g.h_r, g.earth)
 
 
 def _rel(g: LinkGeometry, frequency: float, sea: SeaState, pol: Polarization):
-    # Vertical polarization at the horizon, like the beyond-horizon term, whatever pol is.
-    return _bridged(
-        g, frequency,
-        lambda inner: _two_ray_round(inner, frequency, sea, pol),
-        lambda at_d_h: smooth_earth_diffraction_loss(at_d_h, frequency),
-    )
-
-
-def rel_loss(
-    g: LinkGeometry,
-    frequency: float,
-    sea: SeaState,
-    pol: Polarization = Polarization.VERTICAL,
-):
     """Round-earth two-ray with an effective sea reflection plus diffraction onset.
 
     The two-ray term uses the composed reflection coefficient (Fresnel x
@@ -425,7 +383,11 @@ def rel_loss(
     sets the reflection only: the diffraction term is always the
     vertical-polarized one.
     """
-    return _checked(_rel(g, frequency, sea, pol), g.d, frequency, g.h_t, g.h_r, g.earth)
+    return _bridged(
+        g, frequency,
+        lambda inner: _two_ray_round(inner, frequency, sea, pol),
+        lambda at_d_h: (smooth_earth_diffraction_loss(at_d_h, frequency), OK),
+    )
 
 
 def _itu_spherical_diffraction(
@@ -490,6 +452,14 @@ def _itu_spherical_diffraction(
 
 
 def _itu(g: LinkGeometry, frequency: float, itu: ItuParams, polarization: Polarization):
+    """Reduced ITU-R P.2001 loss: free space plus spherical-sea diffraction.
+
+    Only the normal-propagation path under median conditions is evaluated;
+    the diffraction term uses the model's own median effective radius factor
+    rather than the link's.  Every point carries FREQUENCY_OUT_OF_RANGE
+    outside 30 MHz-50 GHz and UNSUPPORTED_TIME_PERCENTAGE for any time
+    percentage other than 50.
+    """
     d = distances(g.d)
     if not 30e6 <= frequency <= 50e9:
         return _failing(d, FREQUENCY_OUT_OF_RANGE)
@@ -498,22 +468,6 @@ def _itu(g: LinkGeometry, frequency: float, itu: ItuParams, polarization: Polari
     radius_m = itu.median_effective_radius_factor * g.earth.true_radius
     diffraction = _itu_spherical_diffraction(d, g.h_t, g.h_r, radius_m, frequency, polarization)
     return free_space_loss(d, frequency) + diffraction, np.zeros(d.shape, np.uint8)
-
-
-def itu_p2001_reduced_loss(
-    g: LinkGeometry,
-    frequency: float,
-    itu: ItuParams,
-    polarization: Polarization = Polarization.VERTICAL,
-):
-    """Reduced ITU-R P.2001 loss: free space plus spherical-sea diffraction.
-
-    Only the normal-propagation path under median conditions is evaluated;
-    the diffraction term uses the model's own median effective radius factor
-    rather than the link's.  Raises FrequencyOutOfRange outside 30 MHz-50 GHz
-    and UnsupportedTimePercentage for any time percentage other than 50.
-    """
-    return _checked(_itu(g, frequency, itu, polarization), g.d, frequency, g.h_t, g.h_r, g.earth)
 
 
 def log_distance_loss(d, p: LogDistanceParams):
@@ -553,8 +507,11 @@ def losses(model_id: str, ctx: ModelContext, d) -> tuple[np.ndarray, np.ndarray]
 
 
 def evaluate_model(model_id: str, ctx: ModelContext, d: float) -> float:
-    """Evaluate one model of the family at a single distance."""
-    return _checked(losses(model_id, ctx, d), d, ctx.frequency, ctx.h_t, ctx.h_r, ctx.earth)
+    """Evaluate one model at a single distance: losses() on one point, raising its SeaLossError."""
+    loss, reasons = losses(model_id, ctx, d)
+    if reasons.any():
+        raise next(_errors(ctx.geometry_at(distances(d)), ctx.frequency, reasons))
+    return like(d, loss)
 
 
 def distance_grid(d_min: float, d_max: float, n_points: int, spacing: str = "log") -> list:

@@ -14,14 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import (
-    LinkGeometry,
-    ReflectionGeometry,
-    as_array,
-    like,
-    reflection_geometry,
-    wavelength,
-)
+from .geometry import LinkGeometry, ReflectionGeometry, as_array, like, wavelength
 
 VACUUM_PERMITTIVITY = 8.8541878128e-12  # F/m
 
@@ -150,26 +143,17 @@ def _i0e(x: np.ndarray) -> np.ndarray:
     )
 
 
-def roughness_factor(
-    grazing_angle,
-    wavelength: float,
-    sea: SeaState,
-    method: str = "miller-brown",
-):
+def roughness_factor(grazing_angle, wavelength: float, sea: SeaState):
     """Specular scattering attenuation of a rough sea, in [0, 1].
 
     Miller-Brown-Vegh: rho = exp(-2 g^2) I0(2 g^2) with the Rayleigh roughness
-    parameter g = 2 pi sigma_h sin(psi) / lambda.  method="ament" gives the
-    plain exp(-2 g^2) factor instead.  grazing_angle may be an array.
+    parameter g = 2 pi sigma_h sin(psi) / lambda.  grazing_angle may be an
+    array.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     g = 2.0 * math.pi * sea.sigma_h * np.sin(as_array(grazing_angle)) / wavelength
-    if method == "miller-brown":
-        return like(grazing_angle, _i0e(2.0 * g * g))
-    if method == "ament":
-        return like(grazing_angle, np.exp(-2.0 * g * g))
-    raise ValueError(f"unknown roughness method: {method!r}")
+    return like(grazing_angle, _i0e(2.0 * g * g))
 
 
 def shadowing_factor(grazing_angle, sea: SeaState):
@@ -201,9 +185,8 @@ def divergence_factor(rg: ReflectionGeometry, g: LinkGeometry):
     Only g's earth model is used.
     """
     r_e = g.earth.effective_radius
-    x, xp = as_array(rg.ground_x), as_array(rg.ground_x_prime)
-    term = 2.0 * x * xp / (r_e * (x + xp) * np.sin(as_array(rg.grazing_angle)))
-    return like(rg.ground_x, 1.0 / np.sqrt(1.0 + term))
+    x, xp = rg.ground_x, rg.ground_x_prime
+    return 1.0 / np.sqrt(1.0 + 2.0 * x * xp / (r_e * (x + xp) * np.sin(rg.grazing_angle)))
 
 
 def effective_reflection_at(
@@ -215,8 +198,9 @@ def effective_reflection_at(
 ) -> EffectiveReflection:
     """Compose Fresnel x roughness x shadowing x divergence at solved specular points.
 
-    The roughness factor is Miller-Brown's.  rg holds numbers or arrays (one
-    entry per point); only g's earth model is used.
+    rg is what specular_points solved for g; each factor of the result is an
+    array over its points, kept apart (EffectiveReflection.components) so it
+    can be audited.  The roughness is Miller-Brown's; only g's earth is used.
     """
     psi = rg.grazing_angle
     fresnel = fresnel_reflection(psi, frequency, sea, pol)
@@ -224,19 +208,3 @@ def effective_reflection_at(
     shadow = shadowing_factor(psi, sea)
     div = divergence_factor(rg, g)
     return EffectiveReflection(fresnel=fresnel, roughness=rho, shadowing=shadow, divergence=div)
-
-
-def effective_reflection(
-    g: LinkGeometry,
-    frequency: float,
-    sea: SeaState,
-    pol: Polarization = Polarization.VERTICAL,
-) -> EffectiveReflection:
-    """Compose Fresnel x roughness x shadowing x divergence for a link.
-
-    Every factor stays on the result (EffectiveReflection.components), so the
-    contributions are auditable one at a time.  Raises NoSpecularPoint
-    beyond the horizon (propagated from the geometry).  For an array of
-    distances every field is an array.
-    """
-    return effective_reflection_at(reflection_geometry(g), g, frequency, sea, pol)

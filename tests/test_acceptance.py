@@ -15,6 +15,7 @@ from sealoss import (
     EarthModel,
     EffectiveReflection,
     LinkGeometry,
+    ModelContext,
     SampleSet,
     compare_models,
     critical_distance,
@@ -22,13 +23,11 @@ from sealoss import (
     fresnel60_distance,
     horizon_distance,
     load_campaign,
-    reflection_geometry,
-    two_ray_flat,
-    two_ray_round_earth,
+    specular_points,
     wavelength,
 )
 from sealoss.cli import main
-from sealoss.models import distance_grid, evaluate_model
+from sealoss.models import _two_ray_db, distance_grid, evaluate_model
 
 F = 869.5e6
 CAMPAIGNS = ("campaign1", "campaign2")
@@ -70,9 +69,11 @@ def test_criterion_2_flat_limit_equivalence():
         g_ref = LinkGeometry(cfg.tx_height, cfg.rx_height, 1.0)
         d_c = critical_distance(g_ref, wavelength(F))
         d_h = horizon_distance(g_ref)
+        ctx = ModelContext(h_t=cfg.tx_height, h_r=cfg.rx_height, frequency=F)
         for d in distance_grid(d_c, 0.5 * d_h, 200, "log"):
-            flat = two_ray_flat(d, cfg.tx_height, cfg.rx_height, F)
-            rnd = two_ray_round_earth(LinkGeometry(cfg.tx_height, cfg.rx_height, d, big), F, unit)
+            flat = evaluate_model("two-ray-flat", ctx, d)
+            rg, _ = specular_points(LinkGeometry(cfg.tx_height, cfg.rx_height, d, big))
+            [rnd], _ = _two_ray_db(rg.l, rg.x + rg.x_prime, unit.value, F)
             worst = max(worst, abs(flat - rnd))
     _verdict(2, "flat-limit equivalence", worst < 1e-4, f"max |delta| = {worst:.2e} dB")
 
@@ -85,7 +86,8 @@ def test_criterion_3_far_field_slope():
         grid = distance_grid(
             10.0 * critical_distance(g_ref, wavelength(F)), horizon_distance(g_ref), 200, "log"
         )
-        losses = [two_ray_flat(d, cfg.tx_height, cfg.rx_height, F) for d in grid]
+        ctx = ModelContext(h_t=cfg.tx_height, h_r=cfg.rx_height, frequency=F)
+        losses = [evaluate_model("two-ray-flat", ctx, d) for d in grid]
         slopes.append(float(np.polyfit(np.log10(grid), losses, 1)[0]))
     ok = all(abs(s - 40.0) <= 1.0 for s in slopes)
     _verdict(3, "far-field 40 dB/decade slope", ok, f"slopes = {slopes[0]:.2f}, {slopes[1]:.2f}")
@@ -99,7 +101,7 @@ def test_criterion_4_reflection_point_oracle():
         h_t, h_r = rng.uniform(0.2, 10.0, 2)
         d_h = horizon_distance(LinkGeometry(h_t, h_r, 1.0))
         d = rng.uniform(0.1, 0.9) * d_h
-        x = reflection_geometry(LinkGeometry(h_t, h_r, d)).ground_x
+        [x] = specular_points(LinkGeometry(h_t, h_r, d))[0].ground_x
         x_oracle = oracles.specular_ground_distance(h_t, h_r, d, 6_371_000.0)
         worst = max(worst, abs(x - x_oracle))
     elapsed = time.time() - start

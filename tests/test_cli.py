@@ -96,6 +96,25 @@ class TestCurves:
         assert code == 3
         assert "no model produced any point" in err
 
+    def test_zero_field_at_the_horizon_skips_bullington_only(self, tmp_path, capsys):
+        # On a near-flat earth the plane-earth field cancels at the far-off
+        # horizon: bullington has no horizon value and skips its points, and
+        # every other model still writes its curve.
+        doc = load_campaign("campaign2").to_dict()
+        doc["geometry"]["earth"]["effective_radius_factor"] = 1e9
+        config = tmp_path / "flat.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run(["curves", "--config", str(config), "--models", "all",
+                            "--points", "20", "--out", str(tmp_path / "o")], capsys)
+        assert code == 0 and "Traceback" not in err
+        curves = json.loads((tmp_path / "o" / "curves.json").read_text())["curves"]
+        assert curves["bullington"]["distances_m"] == []
+        assert all(s["reason"].startswith("NumericalFailure: two-ray field sum cancels to zero")
+                   for s in curves["bullington"]["skipped"])
+        others = [m for m in curves if m != "bullington"]
+        assert len(others) == 5 and all(len(curves[m]["distances_m"]) == 20 for m in others)
+        assert all((tmp_path / "o" / f"curve_{m}.csv").is_file() for m in others)
+
     def test_config_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SEALOSS_CONFIG", "campaign1")
         code, _, _ = run(
@@ -379,6 +398,42 @@ def test_bad_outside_number_exit_2(tmp_path, capsys, command, edit, options, mes
     code, _, err = run(argv, capsys)
     assert code == 2 and err.startswith("config error: ") and message in err
     assert not out_dir.exists()
+
+
+def _numeric_keys(node, keys=()):
+    """The key path of every number in a config document, metadata aside."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key != "metadata":
+                yield from _numeric_keys(value, keys + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _numeric_keys(value, keys + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield keys
+
+
+def _dotted(keys) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+NUMERIC_KEYS = list(_numeric_keys(load_campaign("campaign2").to_dict()))
+
+
+@pytest.mark.parametrize("value", ["0.35", "nan", True, None],
+                         ids=["string", "nan-string", "true", "null"])
+@pytest.mark.parametrize("keys", NUMERIC_KEYS, ids=[_dotted(k) for k in NUMERIC_KEYS])
+def test_non_number_config_value_exit_2(tmp_path, capsys, keys, value):
+    doc = load_campaign("campaign2").to_dict()
+    section = doc
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps(doc))
+    code, _, err = run(["range", "--config", str(config)], capsys)
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith(f"config error: invalid campaign config: {_dotted(keys)} must be a number")
 
 
 def test_failed_artifact_write_leaves_no_temp_file(tmp_path):

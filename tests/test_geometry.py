@@ -8,17 +8,19 @@ from sealoss import (
     EarthModel,
     GeoPoint,
     LinkGeometry,
+    ModelContext,
     NoSpecularPoint,
     NumericalFailure,
     critical_distance,
+    evaluate_model,
     fresnel60_distance,
     great_circle_distance,
     horizon_distance,
-    reflection_geometry,
+    specular_points,
     wavelength,
 )
 from sealoss.errors import BEYOND_HORIZON, COLLAPSED, NOT_CONVERGED, OK
-from sealoss.geometry import _specular_ground_distance, point_errors, specular_points
+from sealoss.geometry import _specular_ground_distance, point_errors
 
 F_MHZ_8695 = 869.5e6
 LAMBDA = wavelength(F_MHZ_8695)
@@ -143,20 +145,18 @@ class TestFresnel60:
 
 class TestReflectionGeometry:
     def test_symmetric_heights_give_midpoint(self):
-        g = link(3.0, 3.0, 4000.0)
-        rg = reflection_geometry(g)
+        rg, _ = specular_points(link(3.0, 3.0, 4000.0))
         assert rg.ground_x == pytest.approx(2000.0, abs=1e-6)
 
     def test_flat_earth_limit(self):
-        g = link(0.35, 5.2, 5000.0, k=1e9)
-        rg = reflection_geometry(g)
+        rg, _ = specular_points(link(0.35, 5.2, 5000.0, k=1e9))
         expected = 5000.0 * 0.35 / (0.35 + 5.2)
         assert abs(rg.ground_x - expected) / expected < 1e-6
         assert rg.h_t_prime == pytest.approx(0.35, rel=1e-9)
         assert rg.h_r_prime == pytest.approx(5.2, rel=1e-9)
 
     def test_heights_shrink_on_curved_earth(self):
-        rg = reflection_geometry(link(0.35, 5.2, 5000.0))
+        rg, _ = specular_points(link(0.35, 5.2, 5000.0))
         assert rg.h_t_prime < 0.35
         assert rg.h_r_prime < 5.2
         assert rg.grazing_angle > 0
@@ -167,22 +167,24 @@ class TestReflectionGeometry:
             h_t, h_r = rng.uniform(0.2, 10.0, 2)
             g1 = link(h_t, h_r, 1.0)
             d = rng.uniform(0.05, 0.9) * horizon_distance(g1)
-            rg = reflection_geometry(link(h_t, h_r, d))
-            assert rg.x + rg.x_prime >= rg.l
+            rg, reasons = specular_points(link(h_t, h_r, d))
+            assert reasons.tolist() == [OK] and rg.x + rg.x_prime >= rg.l
 
     def test_beyond_horizon_raises(self):
         g = link(0.35, 5.2, 1.0)
         d_h = horizon_distance(g)
+        ctx = ModelContext(h_t=0.35, h_r=5.2, frequency=F_MHZ_8695)
         with pytest.raises(NoSpecularPoint):
-            reflection_geometry(link(0.35, 5.2, d_h + 1.0))
+            evaluate_model("two-ray-round", ctx, d_h + 1.0)
         with pytest.raises(NoSpecularPoint):
-            reflection_geometry(link(0.35, 5.2, d_h))
+            evaluate_model("two-ray-round", ctx, d_h)
 
     def test_rounding_band_inside_horizon(self):
         # 0.1 m inside campaign1's horizon (7922.68 m) the solved point gives
         # x + x' < l by rounding: no specular point there, not a bare ValueError
+        ctx = ModelContext(h_t=0.35, h_r=2.65, frequency=F_MHZ_8695)
         with pytest.raises(NoSpecularPoint, match="grazing geometry collapsed"):
-            reflection_geometry(link(0.35, 2.65, 7922.577))
+            evaluate_model("two-ray-round", ctx, 7922.577)
 
     def test_reason_codes_become_errors_at_the_boundary(self):
         g = link(0.35, 2.65, np.array([100.0, 7922.577, 20_000.0]))
@@ -215,13 +217,13 @@ class TestReflectionGeometry:
 
     def test_brute_force_oracle_5km(self):
         # exact-sphere reflected-path minimisation on a 1 mm grid
-        rg = reflection_geometry(link(0.35, 5.2, 5000.0))
+        rg, _ = specular_points(link(0.35, 5.2, 5000.0))
         oracle = oracles.specular_ground_distance(0.35, 5.2, 5000.0, 6_371_000.0)
         assert abs(rg.ground_x - oracle) < 0.005
 
     def test_grazing_angles_equal_both_sides(self):
-        rg = reflection_geometry(link(0.35, 5.2, 8000.0))
-        assert math.atan2(rg.h_r_prime, rg.ground_x_prime) == pytest.approx(
+        rg, _ = specular_points(link(0.35, 5.2, 8000.0))
+        assert np.arctan2(rg.h_r_prime, rg.ground_x_prime) == pytest.approx(
             rg.grazing_angle, rel=1e-6
         )
 

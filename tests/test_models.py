@@ -14,7 +14,6 @@ from sealoss import (
     BullingtonValidityWarning,
     ConfigError,
     EarthModel,
-    EffectiveReflection,
     FrequencyOutOfRange,
     ItuParams,
     LinkGeometry,
@@ -31,35 +30,29 @@ from sealoss import (
     SeaState,
     UnboundedRange,
     UnsupportedTimePercentage,
-    bullington_loss,
     compare_models,
     critical_distance,
-    effective_reflection,
+    effective_reflection_at,
     evaluate_model,
     fit_log_distance,
     free_space_loss,
     fresnel60_distance,
     fresnel_reflection,
     horizon_distance,
-    itu_p2001_reduced_loss,
     log_distance_loss,
+    losses,
     max_range,
-    rel_loss,
     smooth_earth_diffraction_loss,
+    specular_points,
     sweep,
-    two_ray_flat,
-    two_ray_round_earth,
     wavelength,
 )
-from sealoss.errors import OK, REASONS
-from sealoss.models import distance_grid, losses
+from sealoss.errors import OK, REASONS, ZERO_FIELD
+from sealoss.models import _two_ray_db, _two_ray_flat, distance_grid
 
 F = 869.5e6
 LAMBDA = wavelength(F)
-
-
-def unit_reflection(value: complex = -1.0) -> EffectiveReflection:
-    return EffectiveReflection(fresnel=complex(value), roughness=1.0, shadowing=1.0, divergence=1.0)
+CTX = ModelContext(h_t=0.35, h_r=5.2, frequency=F)
 
 
 class TestFreeSpace:
@@ -79,12 +72,11 @@ class TestTwoRayFlat:
     def test_zero_reflection_degenerates_to_free_space(self):
         for d in (10.0, 137.0, 5000.0):
             l = math.hypot(d, 0.35 - 5.2)
-            assert two_ray_flat(d, 0.35, 5.2, F, reflection=0.0) == pytest.approx(
-                free_space_loss(l, F), abs=1e-12
-            )
+            [loss], _ = _two_ray_flat(np.array([d]), 0.35, 5.2, F, reflection=0.0)
+            assert loss == pytest.approx(free_space_loss(l, F), abs=1e-12)
 
     def test_far_field_asymptote(self):
-        loss = two_ray_flat(5000.0, 0.35, 5.2, F)
+        loss = evaluate_model("two-ray-flat", CTX, 5000.0)
         asym = 40.0 * math.log10(5000.0) - 20.0 * math.log10(0.35 * 5.2)
         assert asym == pytest.approx(142.757, abs=1e-3)
         assert abs(loss - asym) < 0.5
@@ -100,16 +92,16 @@ class TestTwoRayFlat:
             d_approx = 2.0 * h * h / (m * LAMBDA)
             assert abs(d_exact - d_approx) / d_approx < 0.035 * m
             grid = np.linspace(0.95 * d_exact, 1.05 * d_exact, 8001)
-            losses = [two_ray_flat(d, h, h, F) for d in grid]
-            d_found = grid[int(np.argmax(losses))]
+            loss, _ = losses("two-ray-flat", ModelContext(h_t=h, h_r=h, frequency=F), grid)
+            d_found = grid[int(np.argmax(loss))]
             assert abs(d_found - d_exact) / d_exact < 0.002
 
     def test_oscillation_envelope_below_critical(self):
         d_c = critical_distance(LinkGeometry(0.35, 5.2, 1.0), LAMBDA)
         crossings = 0
         prev_sign = None
-        for d in np.linspace(1.0, d_c, 2000):
-            loss = two_ray_flat(d, 0.35, 5.2, F)
+        grid = np.linspace(1.0, d_c, 2000)
+        for d, loss in zip(grid, losses("two-ray-flat", CTX, grid)[0]):
             l = math.hypot(d, 0.35 - 5.2)
             rel = loss - free_space_loss(l, F)
             assert rel > -6.03  # coherent-sum lower bound: at most +6 dB of signal
@@ -125,7 +117,7 @@ class TestTwoRayFlat:
         d_h = horizon_distance(g)
         for d in distance_grid(10.0 * d_c, d_h, 100, "log"):
             asym = 40.0 * math.log10(d) - 20.0 * math.log10(0.35 * 5.2)
-            assert abs(two_ray_flat(d, 0.35, 5.2, F) - asym) < 3.0
+            assert abs(evaluate_model("two-ray-flat", CTX, d) - asym) < 3.0
 
 
 class TestTwoRayZeroField:
@@ -137,7 +129,7 @@ class TestTwoRayZeroField:
         with pytest.raises(NumericalFailure, match="cancels to zero"):
             evaluate_model("two-ray-flat", self.CTX, 2.2e6)
         with pytest.raises(NumericalFailure):
-            two_ray_flat(2.25e6, 0.015, 0.017, 250e6)
+            evaluate_model("two-ray-flat", self.CTX, 2.25e6)
 
     def test_sweep_skips_the_points(self):
         curve = sweep("two-ray-flat", self.CTX, 2.2e6, 2.25e6, 20)
@@ -148,20 +140,17 @@ class TestTwoRayZeroField:
 
 class TestTwoRayRoundEarth:
     def test_zero_reflection_is_free_space_over_direct_ray(self):
-        g = LinkGeometry(0.35, 5.2, 4000.0)
-        zero = EffectiveReflection(fresnel=complex(0.0), roughness=1.0, shadowing=1.0, divergence=1.0)
-        from sealoss import reflection_geometry
-
-        expected = free_space_loss(reflection_geometry(g).l, F)
-        assert two_ray_round_earth(g, F, zero) == pytest.approx(expected, abs=1e-12)
+        rg, _ = specular_points(LinkGeometry(0.35, 5.2, 4000.0))
+        expected = free_space_loss(rg.l, F)
+        loss, _ = _two_ray_db(rg.l, rg.x + rg.x_prime, 0.0, F)
+        assert loss == pytest.approx(expected, abs=1e-12)
 
     def test_flat_limit_matches_plane_earth(self):
         big = EarthModel(effective_radius_factor=1e9)
-        for d in (50.0, 500.0, 5000.0):
-            g = LinkGeometry(0.35, 5.2, d, big)
-            assert two_ray_round_earth(g, F, unit_reflection()) == pytest.approx(
-                two_ray_flat(d, 0.35, 5.2, F), abs=1e-4
-            )
+        d = np.array([50.0, 500.0, 5000.0])
+        rg, _ = specular_points(LinkGeometry(0.35, 5.2, d, big))
+        loss, _ = _two_ray_db(rg.l, rg.x + rg.x_prime, -1.0, F)
+        assert loss == pytest.approx(losses("two-ray-flat", CTX, d)[0], abs=1e-4)
 
     def test_recomputation_from_exact_sphere_oracle(self):
         # campaign-1 geometry at 1 km: rebuild the ray lengths from the
@@ -169,7 +158,7 @@ class TestTwoRayRoundEarth:
         r_e = 6_371_000.0
         h_t, h_r, d = 0.35, 2.65, 1000.0
         g = LinkGeometry(h_t, h_r, d)
-        r_eff = effective_reflection(g, F, SeaState(), Polarization.VERTICAL)
+        [r_eff] = effective_reflection_at(specular_points(g)[0], g, F, SeaState()).value
 
         x_g = oracles.specular_ground_distance(h_t, h_r, d, r_e)
         a, theta = x_g / r_e, d / r_e
@@ -181,12 +170,13 @@ class TestTwoRayRoundEarth:
         lr = leg(h_r, r_e + h_r, theta - a)
         chord_sq = (h_t - h_r) ** 2 + 4.0 * (r_e + h_t) * (r_e + h_r) * math.sin(theta / 2.0) ** 2
         l_direct = math.sqrt(chord_sq)
-        field = 1.0 / l_direct + r_eff.value * cmath.exp(
+        field = 1.0 / l_direct + r_eff * cmath.exp(
             1j * 2.0 * math.pi * (lt + lr - l_direct) / LAMBDA
         ) / (lt + lr)
         expected = 20.0 * math.log10(4.0 * math.pi / LAMBDA) - 20.0 * math.log10(abs(field))
 
-        assert two_ray_round_earth(g, F, r_eff) == pytest.approx(expected, abs=1e-3)
+        ctx = ModelContext(h_t=h_t, h_r=h_r, frequency=F, sea=SeaState())
+        assert evaluate_model("two-ray-round", ctx, d) == pytest.approx(expected, abs=1e-3)
 
 
 class TestSmoothEarthDiffraction:
@@ -224,36 +214,45 @@ class TestBullington:
         g1 = LinkGeometry(0.35, 5.2, 1.0)
         d_60 = fresnel60_distance(g1, F)
         for d in (0.3 * d_60, 0.7 * d_60, d_60):
-            assert bullington_loss(LinkGeometry(0.35, 5.2, d), F) == two_ray_flat(d, 0.35, 5.2, F)
+            assert evaluate_model("bullington", CTX, d) == evaluate_model("two-ray-flat", CTX, d)
 
     def test_antenna_ceiling_in_band(self):
         with pytest.raises(AntennaTooHigh):
-            bullington_loss(LinkGeometry(0.35, 16.0, 1000.0), F)
+            evaluate_model("bullington", ModelContext(h_t=0.35, h_r=16.0, frequency=F), 1000.0)
 
     def test_scaled_ceiling_warns_out_of_band(self):
         with pytest.warns(BullingtonValidityWarning):
-            bullington_loss(LinkGeometry(0.35, 12.0, 1000.0), 2.4e9)
+            evaluate_model("bullington", ModelContext(h_t=0.35, h_r=12.0, frequency=2.4e9), 1000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bullington_loss(LinkGeometry(0.35, 16.0, 1000.0), 400e6)  # ceiling ~19.4 m there
+            ctx = ModelContext(h_t=0.35, h_r=16.0, frequency=400e6)  # ceiling ~19.4 m there
+            evaluate_model("bullington", ctx, 1000.0)
 
     def test_below_fitted_log_distance_at_long_range(self):
         # fit the straight line to plane-earth samples (the measured proxy);
         # the shadow bridge pulls the prediction slightly under it far out
         grid = distance_grid(500.0, 9500.0, 200, "log")
-        samples = SampleSet(grid, [two_ray_flat(d, 0.35, 5.2, F) for d in grid])
+        samples = SampleSet(grid, losses("two-ray-flat", CTX, grid)[0])
         fit = fit_log_distance(samples, 100.0)
         far = distance_grid(5000.0, 9500.0, 50, "log")
-        diffs = [
-            bullington_loss(LinkGeometry(0.35, 5.2, d), F) - log_distance_loss(d, fit)
-            for d in far
-        ]
+        diffs = losses("bullington", CTX, far)[0] - log_distance_loss(far, fit)
         assert np.mean(diffs) < 0.0
+
+    def test_zero_field_at_the_horizon_is_every_inside_point_reason(self):
+        # On a near-flat earth the horizon is so far out that r - l rounds to
+        # 0 there: the plane-earth field cancels and the shadow bridge has no
+        # end value, so every point inside the horizon fails, none raises.
+        flat = EarthModel(effective_radius_factor=1e9)
+        ctx = ModelContext(h_t=0.35, h_r=5.2, frequency=F, earth=flat)
+        loss, reasons = losses("bullington", ctx, [100.0, 1000.0, 10_000.0])
+        assert reasons.tolist() == [ZERO_FIELD] * 3 and np.isnan(loss).all()
+        with pytest.raises(NumericalFailure, match="^two-ray field sum cancels to zero at d = 1000.0 m$"):
+            evaluate_model("bullington", ctx, 1000.0)
 
     def test_beyond_horizon_is_free_space_plus_diffraction(self):
         g = LinkGeometry(0.35, 5.2, 12_000.0)
         expected = free_space_loss(12_000.0, F) + smooth_earth_diffraction_loss(g, F)
-        assert bullington_loss(g, F) == pytest.approx(expected, abs=1e-12)
+        assert evaluate_model("bullington", CTX, 12_000.0) == pytest.approx(expected, abs=1e-12)
 
 
 class TestRel:
@@ -264,95 +263,82 @@ class TestRel:
         d_60 = fresnel60_distance(g1, F)
         d_h = horizon_distance(g1)
         end = smooth_earth_diffraction_loss(LinkGeometry(0.35, 5.2, d_h), F)
+        ctx = ModelContext(h_t=0.35, h_r=5.2, frequency=F, sea=sea,
+                           polarization=Polarization.CIRCULAR)
         for d in (800.0, 3000.0, 9000.0):
-            g = LinkGeometry(0.35, 5.2, d)
-            base = two_ray_round_earth(g, F, effective_reflection(g, F, sea, Polarization.CIRCULAR))
+            base = evaluate_model("two-ray-round", ctx, d)
             frac = (math.log10(d) - math.log10(d_60)) / (math.log10(d_h) - math.log10(d_60))
-            assert rel_loss(g, F, sea, Polarization.CIRCULAR) == pytest.approx(
-                base + end * frac, abs=1e-9
-            )
+            assert evaluate_model("rel", ctx, d) == pytest.approx(base + end * frac, abs=1e-9)
 
     def test_degenerates_to_plane_earth_with_fresnel_r(self):
         # flat-earth limit, smooth sea, inside the zero-correction region
         big = EarthModel(effective_radius_factor=1e9)
         calm = SeaState(sigma_h=0.0, beta_0=0.0)
         d = 50.0
-        g = LinkGeometry(0.35, 5.2, d, big)
+        ctx = ModelContext(h_t=0.35, h_r=5.2, frequency=F, earth=big, sea=calm)
         psi = math.atan2(0.35 + 5.2, d)
         r = fresnel_reflection(psi, F, calm, Polarization.VERTICAL)
-        assert rel_loss(g, F, calm, Polarization.VERTICAL) == pytest.approx(
-            two_ray_flat(d, 0.35, 5.2, F, reflection=r), abs=1e-3
-        )
+        [flat], _ = _two_ray_flat(np.array([d]), 0.35, 5.2, F, reflection=r)
+        assert evaluate_model("rel", ctx, d) == pytest.approx(flat, abs=1e-3)
 
     def test_sanity_envelope_against_bullington(self, campaign1, campaign2):
         for cfg in (campaign1, campaign2):
             ctx = cfg.model_context()
             top = min(9800.0, 0.99 * horizon_distance(ctx.geometry_at(1.0)))
             for d in distance_grid(1000.0, top, 80, "log"):
-                g = ctx.geometry_at(d)
-                assert rel_loss(g, ctx.frequency, ctx.sea, ctx.polarization) >= (
-                    bullington_loss(g, ctx.frequency) - 6.0
-                )
+                assert evaluate_model("rel", ctx, d) >= evaluate_model("bullington", ctx, d) - 6.0
 
     def test_mean_ordering_above_bullington(self, campaign1, campaign2):
         for cfg in (campaign1, campaign2):
             ctx = cfg.model_context()
             top = min(9500.0, 0.99 * horizon_distance(ctx.geometry_at(1.0)))
-            diffs = [
-                rel_loss(ctx.geometry_at(d), ctx.frequency, ctx.sea, ctx.polarization)
-                - bullington_loss(ctx.geometry_at(d), ctx.frequency)
-                for d in distance_grid(1000.0, top, 120, "log")
-            ]
+            grid = distance_grid(1000.0, top, 120, "log")
+            diffs = losses("rel", ctx, grid)[0] - losses("bullington", ctx, grid)[0]
             assert np.mean(diffs) > 0.0
 
     def test_graceful_beyond_horizon(self):
         g = LinkGeometry(0.35, 5.2, 15_000.0)
         expected = free_space_loss(15_000.0, F) + smooth_earth_diffraction_loss(g, F)
-        assert rel_loss(g, F, SeaState(), Polarization.VERTICAL) == pytest.approx(expected, abs=1e-12)
+        assert evaluate_model("rel", CTX, 15_000.0) == pytest.approx(expected, abs=1e-12)
 
 
 class TestItuReduced:
     def test_short_range_near_free_space(self):
-        g = LinkGeometry(0.35, 5.2, 60.0)
-        assert itu_p2001_reduced_loss(g, F, ItuParams()) == pytest.approx(
-            free_space_loss(60.0, F), abs=1.0
-        )
+        assert evaluate_model("itu", CTX, 60.0) == pytest.approx(free_space_loss(60.0, F), abs=1.0)
 
     def test_within_band_of_bullington(self, campaign2):
         ctx = campaign2.model_context()
-        for d in distance_grid(1000.0, 9800.0, 60, "log"):
-            itu = itu_p2001_reduced_loss(ctx.geometry_at(d), ctx.frequency, ctx.itu)
-            bull = bullington_loss(ctx.geometry_at(d), ctx.frequency)
-            assert abs(itu - bull) < 10.0
+        grid = distance_grid(1000.0, 9800.0, 60, "log")
+        itu, bull = losses("itu", ctx, grid)[0], losses("bullington", ctx, grid)[0]
+        assert (abs(itu - bull) < 10.0).all()
 
     def test_monotone_beyond_critical(self):
         grid = distance_grid(30.0, 30_000.0, 300, "log")
-        vals = [itu_p2001_reduced_loss(LinkGeometry(0.35, 5.2, d), F, ItuParams()) for d in grid]
+        vals = [evaluate_model("itu", CTX, d) for d in grid]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_frequency_range_enforced(self):
-        g = LinkGeometry(0.35, 5.2, 1000.0)
         with pytest.raises(FrequencyOutOfRange):
-            itu_p2001_reduced_loss(g, 20e6, ItuParams())
+            evaluate_model("itu", ModelContext(h_t=0.35, h_r=5.2, frequency=20e6), 1000.0)
         with pytest.raises(FrequencyOutOfRange):
-            itu_p2001_reduced_loss(g, 60e9, ItuParams())
+            evaluate_model("itu", ModelContext(h_t=0.35, h_r=5.2, frequency=60e9), 1000.0)
 
     def test_median_only(self):
-        g = LinkGeometry(0.35, 5.2, 1000.0)
+        ctx = ModelContext(h_t=0.35, h_r=5.2, frequency=F, itu=ItuParams(time_percentage=10.0))
         with pytest.raises(UnsupportedTimePercentage):
-            itu_p2001_reduced_loss(g, F, ItuParams(time_percentage=10.0))
+            evaluate_model("itu", ctx, 1000.0)
 
     def test_uses_own_median_radius_factor(self):
         # the link's refraction factor must not leak into the ITU term
         d = 5000.0
-        a = itu_p2001_reduced_loss(LinkGeometry(0.35, 5.2, d), F, ItuParams())
-        b = itu_p2001_reduced_loss(
-            LinkGeometry(0.35, 5.2, d, EarthModel(effective_radius_factor=5.0)), F, ItuParams()
-        )
+        a = evaluate_model("itu", CTX, d)
+        b = evaluate_model("itu", ModelContext(
+            h_t=0.35, h_r=5.2, frequency=F, earth=EarthModel(effective_radius_factor=5.0)
+        ), d)
         assert a == b
-        c = itu_p2001_reduced_loss(
-            LinkGeometry(0.35, 5.2, d), F, ItuParams(median_effective_radius_factor=1.0)
-        )
+        c = evaluate_model("itu", ModelContext(
+            h_t=0.35, h_r=5.2, frequency=F, itu=ItuParams(median_effective_radius_factor=1.0)
+        ), d)
         assert c != a
 
 
@@ -486,8 +472,8 @@ class TestMaxRange:
     def test_oscillatory_model_budget_respected(self):
         radio = self.radio(130.0)
         r = max_range("two-ray-flat", self.ctx(), radio)
-        assert two_ray_flat(r, 0.35, 5.2, F) == pytest.approx(130.0, abs=0.01)
-        assert two_ray_flat(min(r * 1.05, 99_000.0), 0.35, 5.2, F) > 130.0
+        assert evaluate_model("two-ray-flat", CTX, r) == pytest.approx(130.0, abs=0.01)
+        assert evaluate_model("two-ray-flat", CTX, min(r * 1.05, 99_000.0)) > 130.0
 
 
 class TestFiniteness:
@@ -590,13 +576,6 @@ class TestModelContextValidation:
             ModelContext(h_t=h_t, h_r=5.2, frequency=F)
         with pytest.raises(ValueError, match="antenna heights"):
             ModelContext(h_t=0.35, h_r=h_t, frequency=F)
-
-    @pytest.mark.parametrize("h_t", [-0.35, 0.0, 20_000.0])
-    def test_scalar_two_ray_flat_rejects_them_too(self, h_t):
-        with pytest.raises(ValueError, match="antenna heights"):
-            two_ray_flat(1000.0, h_t, 5.2, F)
-        with pytest.raises(ValueError, match="antenna heights"):
-            two_ray_flat(1000.0, 0.35, h_t, F)
 
 
 class TestRadioConfigValidation:

@@ -13,13 +13,13 @@ from sealoss import (
     Polarization,
     SeaState,
     divergence_factor,
-    effective_reflection,
+    effective_reflection_at,
     fresnel_reflection,
     horizon_distance,
-    reflection_geometry,
     roughness_factor,
     sea,
     shadowing_factor,
+    specular_points,
     wavelength,
 )
 
@@ -83,12 +83,10 @@ class TestRoughness:
         assert roughness_factor(0.1, wavelength(F), calm) == 1.0
 
     def test_fully_rough_limit(self):
-        # Miller-Brown keeps an algebraic ~1/(2g sqrt(pi)) tail; the plain
-        # Ament factor collapses exponentially
+        # Miller-Brown keeps an algebraic ~1/(2g sqrt(pi)) tail
         rough = SeaState(sigma_h=50.0)
         psi, lam = math.radians(30.0), wavelength(F)
         assert roughness_factor(psi, lam, rough) < 1e-3
-        assert roughness_factor(psi, lam, rough, method="ament") == 0.0
         tails = [roughness_factor(psi, lam, SeaState(sigma_h=s)) for s in (50.0, 500.0, 5000.0)]
         assert all(b < a for a, b in zip(tails, tails[1:]))
 
@@ -100,15 +98,6 @@ class TestRoughness:
         expected = math.exp(-0.5) * oracles.bessel_i0_series(0.5)
         assert rho == pytest.approx(expected, abs=1e-10)
         assert expected == pytest.approx(0.645, abs=1e-3)
-
-    def test_ament_variant(self):
-        psi, lam = 0.3, 1.0
-        sigma = 0.5 * lam / (2.0 * math.pi * math.sin(psi))
-        assert roughness_factor(psi, lam, SeaState(sigma_h=sigma), method="ament") == pytest.approx(
-            math.exp(-0.5), abs=1e-12
-        )
-        with pytest.raises(ValueError):
-            roughness_factor(psi, lam, SEA, method="nope")
 
     def test_monotone_in_sigma_and_angle(self):
         lam = wavelength(F)
@@ -187,7 +176,7 @@ class TestShadowing:
 class TestDivergence:
     def test_flat_earth_limit(self):
         g = LinkGeometry(0.35, 5.2, 5000.0, EarthModel(effective_radius_factor=1e9))
-        d = divergence_factor(reflection_geometry(g), g)
+        d = divergence_factor(specular_points(g)[0], g)
         assert d == pytest.approx(1.0, abs=1e-6)
 
     def test_decreases_toward_horizon(self):
@@ -196,7 +185,7 @@ class TestDivergence:
         vals = []
         for frac in (0.2, 0.5, 0.8, 0.95, 0.99):
             g = LinkGeometry(0.35, 5.2, frac * d_h)
-            vals.append(divergence_factor(reflection_geometry(g), g))
+            vals.append(divergence_factor(specular_points(g)[0], g).item())
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert all(0.0 < v <= 1.0 for v in vals)
 
@@ -205,7 +194,7 @@ class TestDivergence:
         # evaluate the divergence formula independently
         r_e = 6_371_000.0
         g = LinkGeometry(0.35, 5.2, 9000.0)
-        rg = reflection_geometry(g)
+        rg, _ = specular_points(g)
         x_g = oracles.specular_ground_distance(0.35, 5.2, 9000.0, r_e)
         xp_g = 9000.0 - x_g
         h_t_p = 0.35 - x_g ** 2 / (2 * r_e)
@@ -217,43 +206,42 @@ class TestDivergence:
 class TestEffectiveReflection:
     def test_smooth_pec_flat_limit(self):
         g = LinkGeometry(2.0, 2.0, 500.0, EarthModel(effective_radius_factor=1e9))
+        rg, _ = specular_points(g)
         calm_pec = SeaState(sigma_h=0.0, beta_0=0.0, conductivity=1e9)
-        r = effective_reflection(g, F, calm_pec, Polarization.HORIZONTAL)
+        r = effective_reflection_at(rg, g, F, calm_pec, Polarization.HORIZONTAL)
         assert r.magnitude == pytest.approx(1.0, abs=1e-3)
         assert abs(r.phase) == pytest.approx(math.pi, abs=0.01)
 
     def test_contraction(self):
         g = LinkGeometry(0.35, 5.2, 3000.0)
-        r = effective_reflection(g, F, SEA, Polarization.VERTICAL)
+        rg, _ = specular_points(g)
+        r = effective_reflection_at(rg, g, F, SEA, Polarization.VERTICAL)
         assert r.magnitude <= abs(r.fresnel) + 1e-15
 
     def test_recomposition(self):
         g = LinkGeometry(0.35, 5.2, 3000.0)
-        r = effective_reflection(g, F, SEA, Polarization.CIRCULAR)
+        rg, _ = specular_points(g)
+        r = effective_reflection_at(rg, g, F, SEA, Polarization.CIRCULAR)
         product = abs(r.fresnel) * r.roughness * r.shadowing * r.divergence
         assert abs(r.magnitude - product) < 1e-12
         assert r.value == pytest.approx(r.fresnel * r.roughness * r.shadowing * r.divergence, abs=1e-12)
 
     def test_roughening_never_raises_magnitude(self):
         g = LinkGeometry(0.35, 5.2, 3000.0)
-        base = effective_reflection(g, F, SeaState(sigma_h=0.05, beta_0=0.01), Polarization.VERTICAL)
+        rg, _ = specular_points(g)
+        base = effective_reflection_at(rg, g, F, SeaState(sigma_h=0.05, beta_0=0.01))
         for sigma in (0.1, 0.3):
-            r = effective_reflection(g, F, SeaState(sigma_h=sigma, beta_0=0.01), Polarization.VERTICAL)
+            r = effective_reflection_at(rg, g, F, SeaState(sigma_h=sigma, beta_0=0.01))
             assert r.magnitude <= base.magnitude + 1e-15
         for beta in (0.03, 0.1):
-            r = effective_reflection(g, F, SeaState(sigma_h=0.05, beta_0=beta), Polarization.VERTICAL)
+            r = effective_reflection_at(rg, g, F, SeaState(sigma_h=0.05, beta_0=beta))
             assert r.magnitude <= base.magnitude + 1e-15
-
-    def test_factor_toggles(self):
-        g = LinkGeometry(0.35, 5.2, 3000.0)
-        full = effective_reflection(g, F, SEA, Polarization.VERTICAL)
-        psi = reflection_geometry(g).grazing_angle
-        assert roughness_factor(psi, wavelength(F), SEA, method="ament") <= full.roughness
 
     @pytest.mark.parametrize("d", [3000.0, np.array([500.0, 3000.0, 7000.0])], ids=["number", "array"])
     def test_stored_as_its_four_factors(self, d):
         g = LinkGeometry(0.35, 5.2, d)
-        r = effective_reflection(g, F, SEA, Polarization.VERTICAL)
+        rg, _ = specular_points(g)
+        r = effective_reflection_at(rg, g, F, SEA, Polarization.VERTICAL)
         names = [f.name for f in dataclasses.fields(r)]
         assert names == ["fresnel", "roughness", "shadowing", "divergence"]
         assert list(r.components) == names
@@ -262,7 +250,7 @@ class TestEffectiveReflection:
             r.magnitude, np.abs(r.fresnel) * r.roughness * r.shadowing * r.divergence
         )
         np.testing.assert_array_equal(r.phase, np.angle(r.fresnel))
-        assert np.ndim(r.magnitude) == np.ndim(r.phase) == np.ndim(r.value) == np.ndim(d)
+        assert np.shape(r.magnitude) == np.shape(r.phase) == np.shape(r.value) == (np.size(d),)
 
 
 class TestSeaStateValidation:
