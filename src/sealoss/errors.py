@@ -17,7 +17,7 @@ class NoSpecularPoint(SeaLossError):
 
 
 class NumericalFailure(SeaLossError):
-    """An iterative solver failed to reach its convergence contract."""
+    """A numerical result the model cannot use, such as a two-ray field sum that cancels to zero."""
 
 
 class AntennaTooHigh(SeaLossError):
@@ -82,15 +82,13 @@ class BullingtonValidityWarning(UserWarning):
 
 # Reason codes of array evaluations: per-point failures, then failures of a
 # whole context.  uint8, so that arrays of them stay uint8.
-OK, BEYOND_HORIZON, COLLAPSED, NOT_CONVERGED, ZERO_FIELD = np.arange(5, dtype=np.uint8)
-ANTENNA_TOO_HIGH, FREQUENCY_OUT_OF_RANGE, UNSUPPORTED_TIME_PERCENTAGE = np.uint8([5, 6, 7])
+OK, BEYOND_HORIZON, COLLAPSED, ZERO_FIELD = np.arange(4, dtype=np.uint8)
+ANTENNA_TOO_HIGH, FREQUENCY_OUT_OF_RANGE, UNSUPPORTED_TIME_PERCENTAGE = np.uint8([4, 5, 6])
 
 # Each failure's exception class and message template, the one home of both.
 REASONS = {
     BEYOND_HORIZON: (NoSpecularPoint, "d = {d:.1f} m is at or beyond the horizon ({d_h:.1f} m)"),
     COLLAPSED: (NoSpecularPoint, "grazing geometry collapsed at d = {d:.1f} m"),
-    NOT_CONVERGED: (NumericalFailure, "specular-point cubic did not converge "
-                                      "(residual {residual:.3e}, scale {scale:.3e})"),
     ZERO_FIELD: (NumericalFailure, "two-ray field sum cancels to zero at d = {d:.1f} m"),
     ANTENNA_TOO_HIGH: (AntennaTooHigh, "antenna height {h_max:.1f} m exceeds the {ceiling:.0f} m "
                                        "Bullington ceiling at {mhz:.0f} MHz"),

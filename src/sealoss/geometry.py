@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BEYOND_HORIZON, COLLAPSED, NOT_CONVERGED, OK, REASONS
+from .errors import BEYOND_HORIZON, COLLAPSED, OK, REASONS
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 EARTH_RADIUS = 6_371_000.0      # mean earth radius, m
@@ -204,46 +204,6 @@ def fresnel60_distance(g: LinkGeometry, frequency: float) -> float:
     return 1000.0 * num / den
 
 
-def _specular_ground_distance(h_t: float, h_r: float, d: np.ndarray, r_e: float):
-    """Roots of the specular-point cubic in (0, d) by a Newton/bisection hybrid.
-
-    The cubic is p(x) = 2x^3 - 3dx^2 + c1 x + c0.  p(0) = 2 r_e h_t d > 0 and
-    p(d) = -2 r_e h_r d < 0, so (0, d) always brackets the single physical
-    root.  Every point takes Newton steps whenever they stay inside its
-    bracket, bisection otherwise, and stops once its residual is below 1e-10
-    of the largest term's magnitude.  Returns the roots (nan where the solve
-    failed), the reason codes, and the last residuals and their scales.  Each
-    point's steps depend on that point only, so a one-point solve gives the
-    same bits.
-    """
-    c1 = d * d - 2.0 * r_e * (h_t + h_r)
-    c0 = 2.0 * r_e * h_t * d
-    floor = np.maximum(np.abs(c0), 1.0)
-    lo, hi = np.zeros(d.shape), d
-    x = d * h_t / (h_t + h_r)  # flat-earth image point as the seed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(201):
-            x2 = x * x
-            cubic, quadratic, linear = 2.0 * x2 * x, 3.0 * d * x2, c1 * x
-            p = cubic - quadratic + linear + c0
-            scale = np.maximum(
-                np.maximum(np.abs(cubic), np.abs(quadratic)), np.maximum(np.abs(linear), floor)
-            )
-            done = np.abs(p) <= 1e-10 * scale
-            if step == 200 or done.all():
-                break
-            # A converged point keeps its x (so it stays converged); its
-            # bracket no longer matters.
-            above = p > 0
-            lo = np.where(above, x, lo)
-            hi = np.where(above, hi, x)
-            dp = 6.0 * x2 - 6.0 * d * x + c1
-            x_new = x - p / dp
-            newton = (dp != 0.0) & (lo < x_new) & (x_new < hi)
-            x = np.where(done, x, np.where(newton, x_new, 0.5 * (lo + hi)))
-    return np.where(done, x, np.nan), np.where(done, OK, NOT_CONVERGED), p, scale
-
-
 def specular_points(g: LinkGeometry):
     """The round-earth specular reflection geometry at every distance of g.
 
@@ -253,15 +213,25 @@ def specular_points(g: LinkGeometry):
     lengths follow from the tangent-plane triangle.  Returns the
     ReflectionGeometry of the points that have one (arrays over those points,
     in order) and the per-point reason codes: BEYOND_HORIZON at or beyond the
-    horizon, COLLAPSED where the grazing geometry collapses, NOT_CONVERGED
-    where the cubic solve fails.
+    horizon, COLLAPSED where rounding makes the grazing geometry collapse just
+    inside it.
     """
     d = distances(g.d)
     beyond = d >= horizon_distance(g)
     reasons = np.where(beyond, BEYOND_HORIZON, OK)
     r_e = g.earth.effective_radius
+    # Within the horizon the cubic has three real roots: x_g in (0, d), one
+    # below 0 and one above d.  The trigonometric (Viete) form gives the outer
+    # two without cancellation, and x_g follows from the roots' product,
+    # -r_e h_t d (the trigonometric form of x_g itself cancels).  The clip
+    # only absorbs rounding: there the arccos argument lies in [-1, 1].
+    d_in = d[~beyond]
+    c = 2.0 * np.sqrt((r_e * (g.h_t + g.h_r) + 0.25 * d_in * d_in) / 3.0)
+    third = np.arccos(np.clip(2.0 * r_e * (g.h_r - g.h_t) * d_in / c**3, -1.0, 1.0)) / 3.0
+    above_d = 0.5 * d_in + c * np.cos(third)
+    below_0 = 0.5 * d_in + c * np.cos(third + 2.0 * np.pi / 3.0)
     x_g = np.full(d.shape, np.nan)
-    x_g[~beyond], reasons[~beyond], _, _ = _specular_ground_distance(g.h_t, g.h_r, d[~beyond], r_e)
+    x_g[~beyond] = -r_e * g.h_t * d_in / (below_0 * above_d)
     xp_g = d - x_g
     h_t_p = g.h_t - x_g * x_g / (2.0 * r_e)
     h_r_p = g.h_r - xp_g * xp_g / (2.0 * r_e)
@@ -287,17 +257,14 @@ def specular_points(g: LinkGeometry):
 def point_errors(g: LinkGeometry, reasons: np.ndarray, **values):
     """Yield the SeaLossError of every failed point of g, in order.
 
-    values holds the call's message values; h_max, d_h (once, if needed) and a
-    non-converged point's residual and scale (by a one-point solve) join them.
+    values holds the call's message values; each point's d, h_max and (once,
+    if needed) d_h join them.
     """
     d = distances(g.d)
     values["h_max"] = max(g.h_t, g.h_r)
     if (reasons == BEYOND_HORIZON).any():
         values["d_h"] = horizon_distance(g)
     for i in np.flatnonzero(reasons).tolist():
-        values["d"], code = d.item(i), reasons.item(i)
-        if code == NOT_CONVERGED:
-            solve = _specular_ground_distance(g.h_t, g.h_r, d[i:i + 1], g.earth.effective_radius)
-            values.update(residual=solve[2][0], scale=solve[3][0])
-        cls, template = REASONS[code]
+        values["d"] = d.item(i)
+        cls, template = REASONS[reasons.item(i)]
         yield cls(template.format_map(values))

@@ -401,6 +401,15 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _typed(kind: type, what: str, path: str):
+    """Reader of a JSON value that must be of kind (what names it); raises ConfigError naming path."""
+    def read(value):
+        if not isinstance(value, kind):
+            raise ConfigError(f"invalid campaign config: {path} must be {what}, not {value!r}")
+        return value
+    return read
+
+
 def _read_floats(cls, table: dict, path: str):
     """Reader of a section whose attributes are all numbers, building a cls."""
     paths = {attr: path + key for key, attr in table.items()}
@@ -414,7 +423,7 @@ def _zone(doc, path: str) -> ExclusionZone:
 
 # How from_dict reads each CampaignConfig attribute from its JSON value.
 _READ = {
-    "name": lambda name: name,
+    "name": _typed(str, "a string", "name"),
     "bs_position": _read_floats(GeoPoint, _POSITION, "bs_position."),
     "radio": _read_floats(RadioConfig, _RADIO, "radio."),
     "tx_height": lambda h: _number(h, "geometry.tx_height_m"),
@@ -427,7 +436,7 @@ _READ = {
         _zone(z, f"exclusion_zones[{i}].") for i, z in enumerate(zones)
     ),
     "log_distance_reference": lambda d: _number(d, "log_distance_reference_m"),
-    "metadata": dict,
+    "metadata": lambda m: dict(_typed(dict, "an object", "metadata")(m)),
 }
 
 

@@ -193,7 +193,9 @@ def _two_ray_db(l, r, reflection, frequency: float):
     """Two-ray losses and reasons given direct lengths l, reflected lengths r and coefficients R."""
     lam = wavelength(frequency)
     phase = 2.0 * math.pi * (r - l) / lam
-    field_sum = 1.0 / l + reflection * np.exp(1j * phase) / r
+    # 1/l overflows only for equal heights at a subnormal distance.
+    with np.errstate(over="ignore"):
+        field_sum = 1.0 / l + reflection * np.exp(1j * phase) / r
     magnitude = np.abs(field_sum)
     # |1/l + R e^{j phi}/r| >= 1/l - |R|/r > 0 for |R| <= 1 and r > l, but far
     # out r - l can round to exactly 0, and with R = -1 the two terms cancel.
@@ -201,6 +203,9 @@ def _two_ray_db(l, r, reflection, frequency: float):
     with np.errstate(divide="ignore"):
         loss = 20.0 * math.log10(4.0 * math.pi / lam) - 20.0 * np.log10(magnitude)
     loss[zero] = np.nan
+    # Where 1/l overflowed the reflected term is below its rounding: free space over l.
+    over = np.isinf(magnitude)
+    loss[over] = 20.0 * np.log10(4.0 * math.pi * l[over] / lam)
     return loss, np.where(zero, ZERO_FIELD, OK)
 
 
@@ -220,8 +225,8 @@ def _two_ray_flat(d, h_t: float, h_r: float, frequency: float, reflection: compl
 def _two_ray_round(g: LinkGeometry, frequency: float, sea: SeaState, pol: Polarization):
     """Two-ray losses and reasons in the round-earth geometry with the effective sea reflection.
 
-    Ray lengths come from the specular-point solution on the curved sea, one
-    solve per point; a point with no specular point carries specular_points' reason.
+    Ray lengths come from the specular point on the curved sea at each
+    distance; a point with no specular point carries specular_points' reason.
     """
     rg, reasons = specular_points(g)
     ok = reasons == OK
@@ -419,23 +424,22 @@ def _itu_spherical_diffraction(
     far = d_km >= d_los
     if far.any():
         loss[far] = np.maximum(0.0, first_term(d_m[far], a_km))
-    near = ~far
+    # A distance that underflows to 0 km is clear of the earth.
+    near = ~far & (d_km > 0.0)
     if not near.any():
         return loss
 
     # Inside d_los: smallest clearance between the curved-earth path and the
-    # direct ray.
+    # direct ray.  Its position b is the trigonometric root of a cubic, which
+    # cancels as m -> 0 (0 * inf at m = 0); below m = 1e-11 b's limit c is
+    # the closer value.
     d_km = d_km[near]
     c = (h_t - h_r) / (h_t + h_r)
     m = 250.0 * d_km * d_km / (a_km * (h_t + h_r))
-    b = (
-        2.0
-        * np.sqrt((m + 1.0) / (3.0 * m))
-        * np.cos(
-            math.pi / 3.0
-            + np.arccos(1.5 * c * np.sqrt(3.0 * m / (m + 1.0) ** 3)) / 3.0
-        )
-    )
+    m_cubic = np.maximum(m, 1e-11)
+    third = np.arccos(1.5 * c * np.sqrt(3.0 * m_cubic / (m_cubic + 1.0) ** 3)) / 3.0
+    root = 2.0 * np.sqrt((m_cubic + 1.0) / (3.0 * m_cubic)) * np.cos(math.pi / 3.0 + third)
+    b = np.where(m < 1e-11, c, root)
     d_se1 = 0.5 * d_km * (1.0 + b)
     d_se2 = d_km - d_se1
     h_se = (
@@ -443,11 +447,14 @@ def _itu_spherical_diffraction(
         + (h_r - 500.0 * d_se2 * d_se2 / a_km) * d_se1
     ) / d_km
     h_req = 17.456 * np.sqrt(d_se1 * d_se2 * lam / d_km)
-    a_marginal = 500.0 * (d_km / (math.sqrt(h_t) + math.sqrt(h_r))) ** 2
-    marginal = first_term(d_m[near], a_marginal)
-    loss[near] = np.where(
-        (h_se > h_req) | (marginal < 0.0), 0.0, (1.0 - h_se / h_req) * marginal
-    )
+    # Only a path whose clearance falls short of h_req loses anything: the
+    # first term at the radius that makes it marginally line-of-sight, scaled.
+    short = h_se <= h_req
+    a_marginal = 500.0 * (d_km[short] / (math.sqrt(h_t) + math.sqrt(h_r))) ** 2
+    marginal = first_term(d_m[near][short], a_marginal)
+    near_loss = np.zeros(d_km.shape)
+    near_loss[short] = np.where(marginal < 0.0, 0.0, (1.0 - h_se[short] / h_req[short]) * marginal)
+    loss[near] = near_loss
     return loss
 
 

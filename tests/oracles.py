@@ -78,6 +78,26 @@ def specular_ground_distance(h_t: float, h_r: float, d: float, r_e: float,
     return a_best * r_e
 
 
+def specular_cubic_root(h_t: float, h_r: float, d: float, r_e: float) -> float:
+    """The root in (0, d) of the small-angle specular cubic, to 50 digits.
+
+    2x^3 - 3dx^2 + (d^2 - 2 r_e (h_t + h_r))x + 2 r_e h_t d = 0, with all
+    three roots found by mpmath's Durand-Kerner iteration (polyroots).  This
+    checks the library's root of that cubic, not the cubic itself (the
+    exact-sphere minimisation above does that).  mpmath's findroot from the
+    flat-earth image point is not used: near the horizon it can converge to
+    the negative root.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        h_t, h_r, d, r_e = (mpmath.mpf(v) for v in (h_t, h_r, d, r_e))
+        coeffs = [2, -3 * d, d * d - 2 * r_e * (h_t + h_r), 2 * r_e * h_t * d]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=100)
+        [x] = [r.real for r in roots if abs(r.imag) <= d * mpmath.mpf("1e-25") and 0 < r.real < d]
+        return float(x)
+
+
 # --- 60 % first-Fresnel-zone clearance --------------------------------------
 
 def clearance_margin(d: float, h_t: float, h_r: float, lam: float, r_e: float,

@@ -30,12 +30,21 @@ def read_dir(path: Path) -> dict:
 class TestCurves:
     def test_point_in_the_horizon_rounding_band(self, tmp_path, capsys):
         code, _, err = run(["curves", "--config", "campaign1", "--models", "rel",
-                            "--dmin", "7922.577", "--dmax", "9000", "--points", "2",
+                            "--dmin", "7922.62", "--dmax", "9000", "--points", "2",
                             "--out", str(tmp_path)], capsys)
         assert code == 0 and "Traceback" not in err
         rel = json.loads((tmp_path / "curves.json").read_text())["curves"]["rel"]
         assert rel["distances_m"] == [9000.0]
         assert rel["skipped"][0]["reason"].startswith("NoSpecularPoint: grazing geometry collapsed")
+
+    def test_subnormal_distances_evaluate(self, tmp_path, capsys):
+        # itu once returned nan with no reason below ~1e-100 m, a traceback here
+        code, _, err = run(["curves", "--config", "campaign1", "--models", "all",
+                            "--dmin", "1e-320", "--dmax", "1", "--points", "5",
+                            "--out", str(tmp_path)], capsys)
+        assert code == 0 and "Traceback" not in err
+        curves = json.loads((tmp_path / "curves.json").read_text())["curves"]
+        assert all(len(c["distances_m"]) == 5 and not c["skipped"] for c in curves.values())
 
     def test_two_point_single_model(self, tmp_path, capsys):
         code, out, _ = run(
@@ -434,6 +443,24 @@ def test_non_number_config_value_exit_2(tmp_path, capsys, keys, value):
     code, _, err = run(["range", "--config", str(config)], capsys)
     assert code == 2 and "Traceback" not in err
     assert err.startswith(f"config error: invalid campaign config: {_dotted(keys)} must be a number")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("name", [1, 2], "name must be a string, not [1, 2]"),
+    ("name", None, "name must be a string, not None"),
+    ("name", 3, "name must be a string, not 3"),
+    ("metadata", [["a", "b"]], "metadata must be an object, not [['a', 'b']]"),
+], ids=["name-list", "name-null", "name-number", "metadata-pairs"])
+def test_mistyped_name_or_metadata_exit_2(tmp_path, capsys, key, value, message):
+    # a list of pairs once became a dict, and any name was echoed into every artifact
+    doc = load_campaign("campaign2").to_dict()
+    doc[key] = value
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, _, err = run(["curves", "--config", str(config), "--out", str(out_dir)], capsys)
+    assert code == 2 and err == f"config error: invalid campaign config: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_failed_artifact_write_leaves_no_temp_file(tmp_path):

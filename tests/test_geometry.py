@@ -10,7 +10,6 @@ from sealoss import (
     LinkGeometry,
     ModelContext,
     NoSpecularPoint,
-    NumericalFailure,
     critical_distance,
     evaluate_model,
     fresnel60_distance,
@@ -19,8 +18,8 @@ from sealoss import (
     specular_points,
     wavelength,
 )
-from sealoss.errors import BEYOND_HORIZON, COLLAPSED, NOT_CONVERGED, OK
-from sealoss.geometry import _specular_ground_distance, point_errors
+from sealoss.errors import BEYOND_HORIZON, COLLAPSED, OK
+from sealoss.geometry import point_errors
 
 F_MHZ_8695 = 869.5e6
 LAMBDA = wavelength(F_MHZ_8695)
@@ -180,14 +179,14 @@ class TestReflectionGeometry:
             evaluate_model("two-ray-round", ctx, d_h)
 
     def test_rounding_band_inside_horizon(self):
-        # 0.1 m inside campaign1's horizon (7922.68 m) the solved point gives
+        # 0.06 m inside campaign1's horizon (7922.68 m) the specular point gives
         # x + x' < l by rounding: no specular point there, not a bare ValueError
         ctx = ModelContext(h_t=0.35, h_r=2.65, frequency=F_MHZ_8695)
         with pytest.raises(NoSpecularPoint, match="grazing geometry collapsed"):
-            evaluate_model("two-ray-round", ctx, 7922.577)
+            evaluate_model("two-ray-round", ctx, 7922.62)
 
     def test_reason_codes_become_errors_at_the_boundary(self):
-        g = link(0.35, 2.65, np.array([100.0, 7922.577, 20_000.0]))
+        g = link(0.35, 2.65, np.array([100.0, 7922.62, 20_000.0]))
         rg, reasons = specular_points(g)
         assert reasons.dtype == np.uint8
         assert reasons.tolist() == [OK, COLLAPSED, BEYOND_HORIZON]
@@ -199,21 +198,28 @@ class TestReflectionGeometry:
             f"d = 20000.0 m is at or beyond the horizon ({horizon_distance(g):.1f} m)"
         )
 
-    def test_non_convergence_message_from_a_one_point_solve(self):
-        # The solve is elementwise: a one-point solve ends on the same residual
-        # and scale bits as the whole-array solve, so the boundary can rebuild
-        # a non-converged point's message without a side column.
-        d = np.geomspace(1.0, 9_000.0, 50)
-        _, _, p, scale = _specular_ground_distance(0.35, 5.2, d, 6_371_000.0)
-        for i in range(d.size):
-            _, _, p_i, scale_i = _specular_ground_distance(0.35, 5.2, d[i:i + 1], 6_371_000.0)
-            assert (p_i[0].hex(), scale_i[0].hex()) == (p[i].hex(), scale[i].hex())
-        # No link is known to defeat the solver, so the code is set by hand.
-        [exc] = point_errors(link(0.35, 5.2, d[17:18]), np.array([NOT_CONVERGED]))
-        assert isinstance(exc, NumericalFailure)
-        assert str(exc) == (
-            f"specular-point cubic did not converge (residual {p[17]:.3e}, scale {scale[17]:.3e})"
-        )
+    def test_specular_root_against_a_50_digit_root(self):
+        # Both campaigns' heights at k = 1, 4/3 and near-flat 1e9, from 1 mm to
+        # 1e-9 of d_h short of the horizon, then random links from 1 cm to
+        # 10 km high, k from 0.01 to 1000, out to 1e-12 of d_h short of it.
+        def d_h(h_t, h_r, k):
+            return horizon_distance(link(h_t, h_r, 1.0, k))
+
+        cases = [(h_t, h_r, k, np.geomspace(1e-3, (1.0 - 1e-9) * d_h(h_t, h_r, k), 20), 1e-13)
+                 for h_t, h_r in ((0.35, 2.65), (0.35, 5.2)) for k in (1.0, 4.0 / 3.0, 1e9)]
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            (h_t, h_r), k = 10.0 ** rng.uniform(-2.0, 4.0, 2), 10.0 ** rng.uniform(-2.0, 3.0)
+            far = (1.0 - 10.0 ** rng.uniform(-12.0, -1.0)) * d_h(h_t, h_r, k)
+            cases.append((h_t, h_r, k, np.array([10.0 ** rng.uniform(-6.0, 0.0) * far, far]), 1e-11))
+        for h_t, h_r, k, d, rtol in cases:
+            g = link(h_t, h_r, d, k)
+            rg, reasons = specular_points(g)
+            d = d[reasons == OK]
+            assert d.size >= reasons.size - 1
+            r_e = g.earth.effective_radius
+            exact = [oracles.specular_cubic_root(h_t, h_r, d_i, r_e) for d_i in d]
+            np.testing.assert_allclose(rg.ground_x, exact, rtol=rtol, atol=0.0)
 
     def test_brute_force_oracle_5km(self):
         # exact-sphere reflected-path minimisation on a 1 mm grid

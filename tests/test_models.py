@@ -547,11 +547,12 @@ class TestWholeContextErrors:
         conductivity=st.floats(0.0, 100.0),
     ),
     polarization=st.sampled_from(Polarization),
-    d=st.lists(st.floats(0.1, 3e6), min_size=1, max_size=24),
+    d=st.lists(st.floats(5e-324, 3e6), min_size=1, max_size=24),
 )
 def test_every_point_is_a_finite_loss_or_a_reason(h_t, h_r, frequency, k, sea, polarization, d):
-    # Over the declared domain each point either evaluates (code 0, finite
-    # dB) or carries a failure code and nan; any exception fails the test.
+    # Over the declared domain, at any positive distance down to the smallest
+    # double, each point either evaluates (code 0, finite dB) or carries a
+    # failure code and nan; any exception or warning fails the test.
     ctx = ModelContext(
         h_t=h_t, h_r=h_r, frequency=frequency, earth=EarthModel(effective_radius_factor=k),
         sea=sea, polarization=polarization,
